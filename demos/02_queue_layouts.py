@@ -10,7 +10,6 @@ from linlay import (
     make_star_hex_product,
     product_queue_layout,
     verify_layout,
-    weakly_nesting_pairs,
 )
 
 # Row-major order colours grid edges by direction; equal spans never nest.
@@ -19,7 +18,7 @@ for n in (2, 3, 5):
     layout = hex_queue_layout(n)
     report = verify_layout(g, layout)
     print(f"grid n={n}: {layout.coloring.k} queues, valid={report.valid}, "
-          f"weak nestings={len(weakly_nesting_pairs(layout))} (strict)")
+          f"violations={len(report.violations)}")
 
 # Hub-first blocks extend the same idea to the product with one extra queue.
 for a, n in ((1, 1), (3, 2), (5, 3), (8, 8)):

@@ -69,7 +69,6 @@ from .queuelayouts import (
     hex_queue_layout,
     product_block_order,
     product_queue_layout,
-    weakly_nesting_pairs,
 )
 from .render import graph_to_dot
 from .solve import SolveBudget, SolveResult, queue_number, stack_number

@@ -19,6 +19,7 @@ from .errors import (
     InvalidParameterError,
     PreconditionViolationError,
     ResourceLimitError,
+    load_json,
 )
 from .graphs import graph_from_json, graph_to_json, make_hex_dual, make_star, make_star_hex_product
 from .hexpath import (
@@ -96,7 +97,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read {path}: {exc}") from exc
 
 
@@ -196,12 +197,15 @@ def _cmd_hexpath(args) -> int:
 def _cmd_witness(args) -> int:
     size = (args.a + 1) * args.n * args.n
     if args.order is not None:
-        raw = json.loads(_read(args.order))
+        raw = load_json(_read(args.order))
         if isinstance(raw, dict):
             raw = raw.get("order")
         if not isinstance(raw, list) or len(raw) != size:
             raise InvalidParameterError("order file must list every product vertex once")
-        order = LinearOrder.from_sequence(int(v) for v in raw)
+        try:
+            order = LinearOrder.from_sequence([int(v) for v in raw])
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"malformed order file: {exc}") from exc
     elif args.random:
         rng = Random(args.seed)
         seq = list(range(size))
@@ -294,9 +298,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidParameterError, PreconditionViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FamilyTooSmallError as exc:
         print(f"error: {exc}", file=sys.stderr)

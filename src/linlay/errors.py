@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types, and the JSON reader that reports malformed
+documents as InvalidParameterError."""
+
+import json
 
 
 class InvalidParameterError(ValueError):
@@ -38,3 +41,11 @@ class FamilyTooSmallError(Exception):
 
 class InternalInvariantError(AssertionError):
     """A condition the algorithms guarantee internally did not hold."""
+
+
+def load_json(text: str):
+    """Parse a JSON document; syntax errors become InvalidParameterError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"invalid JSON: {exc}") from exc

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, load_json
 
 
 class GridCoord(NamedTuple):
@@ -57,12 +57,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def index_of_label(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InvalidParameterError(f"no vertex labelled {label!r}") from None
 
 
 def _make_graph(kind, labels, edge_pairs, hex_n=None, star_a=None) -> Graph:
@@ -275,28 +269,20 @@ def _label_from_json(kind, raw):
 def graph_from_json_dict(doc: dict) -> Graph:
     try:
         kind = doc["kind"]
-        vertices = doc["vertices"]
-        edges = doc["edges"]
-    except (KeyError, TypeError) as exc:
+        if kind not in ("plain", "hex", "star", "product"):
+            raise InvalidParameterError(f"unknown graph kind {kind!r}")
+        ids = [v["id"] for v in doc["vertices"]]
+        labels = [_label_from_json(kind, v["label"]) for v in doc["vertices"]]
+        pairs = [(int(u), int(v)) for u, v in doc["edges"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed graph document: {exc}") from exc
-    if kind not in ("plain", "hex", "star", "product"):
-        raise InvalidParameterError(f"unknown graph kind {kind!r}")
-    ids = [v["id"] for v in vertices]
     if ids != list(range(len(ids))):
         raise InvalidParameterError("vertex ids must be dense and sorted from 0")
-    labels = [_label_from_json(kind, v["label"]) for v in vertices]
-    pairs = []
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
+    for u, v in pairs:
         if not u < v:
-            raise InvalidParameterError(f"edge {e} not stored with u < v")
-        pairs.append((u, v))
+            raise InvalidParameterError(f"edge {[u, v]} not stored with u < v")
     return _make_graph(kind, labels, pairs, hex_n=doc.get("n"), star_a=doc.get("a"))
 
 
 def graph_from_json(text: str) -> Graph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(f"invalid JSON: {exc}") from exc
-    return graph_from_json_dict(doc)
+    return graph_from_json_dict(load_json(text))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import FrozenSet, Iterable, Optional
 
-from .errors import InternalInvariantError, InvalidParameterError
+from .errors import InternalInvariantError, InvalidParameterError, load_json
 from .graphs import GridCoord, hex_coord, hex_vertex_id, make_hex_dual, shortest_path
 
 RED = "R"
@@ -208,8 +208,4 @@ def coloring_from_json_dict(doc: dict) -> GridColoring:
 
 
 def coloring_from_json(text: str) -> GridColoring:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(f"invalid JSON: {exc}") from exc
-    return coloring_from_json_dict(doc)
+    return coloring_from_json_dict(load_json(text))

@@ -1,10 +1,12 @@
 """Linear orders, crossing/nesting predicates, and per-order optima.
 
 A k-stack layout forbids two same-colour edges from crossing; a k-queue
-layout forbids them from nesting.  For a fixed order the queue minimum is
-polynomial (longest chain of pairwise nested edges); the stack minimum is
-an exact chromatic number of the crossing-conflict graph, solved by
-branch and bound.
+layout forbids them from nesting.  Both are questions about edge spans,
+the (left, right) positions of an edge's ends: ``spans`` computes them and
+``spans_cross`` / ``spans_nest`` answer them for one pair.  For a fixed
+order the queue minimum is the largest rainbow (chain of pairwise nested
+edges), found by patience piles; the stack minimum is an exact chromatic
+number of the crossing-conflict graph, solved by branch and bound.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError, load_json
 from .graphs import Graph, normalize_edge
+from .monotone import patience_piles
 
 STACK = "stack"
 QUEUE = "queue"
@@ -53,45 +56,66 @@ def identity_order(n: int) -> LinearOrder:
     return LinearOrder(seq, seq)
 
 
-def _spans(order: LinearOrder, e, f):
+def spans(order: LinearOrder, edges: Iterable) -> list[tuple[int, int]]:
+    """The (left, right) positions of each edge's ends under the order."""
     pos = order.position
-    n = len(pos)
+    out = []
+    for u, v in edges:
+        a, b = pos[u], pos[v]
+        out.append((a, b) if a < b else (b, a))
+    return out
+
+
+def spans_cross(s: tuple[int, int], t: tuple[int, int]) -> bool:
+    """True iff the two spans strictly interleave."""
+    a1, b1 = s
+    a2, b2 = t
+    return a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1
+
+
+def spans_nest(s: tuple[int, int], t: tuple[int, int]) -> bool:
+    """True iff one span strictly contains the other."""
+    a1, b1 = s
+    a2, b2 = t
+    return (a1 < a2 and b2 < b1) or (a2 < a1 and b1 < b2)
+
+
+def _edge_pair_spans(order: LinearOrder, e, f) -> list[tuple[int, int]]:
+    n = len(order)
     for v in (*e, *f):
         if not 0 <= v < n:
             raise InvalidParameterError(f"vertex {v} outside the order's domain")
     if normalize_edge(*e) == normalize_edge(*f):
         raise InvalidParameterError("predicates need two distinct edges")
-    a1, b1 = sorted((pos[e[0]], pos[e[1]]))
-    a2, b2 = sorted((pos[f[0]], pos[f[1]]))
-    return a1, b1, a2, b2
+    return spans(order, (e, f))
 
 
 def crosses(order: LinearOrder, e, f) -> bool:
     """True iff the endpoint positions strictly interleave."""
-    a1, b1, a2, b2 = _spans(order, e, f)
-    return a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1
+    return spans_cross(*_edge_pair_spans(order, e, f))
 
 
 def nests(order: LinearOrder, e, f) -> bool:
     """True iff one edge's positions strictly contain the other's."""
-    a1, b1, a2, b2 = _spans(order, e, f)
-    return (a1 < a2 and b2 < b1) or (a2 < a1 and b1 < b2)
+    return spans_nest(*_edge_pair_spans(order, e, f))
+
+
+def _pairs(span_list: list, pred):
+    """Index pairs i < j whose spans satisfy ``pred``, in lexicographic order."""
+    for i, s in enumerate(span_list):
+        for j in range(i + 1, len(span_list)):
+            if pred(s, span_list[j]):
+                yield i, j
 
 
 def is_pairwise_crossing(order: LinearOrder, edges: Iterable) -> bool:
     """Every unordered pair crosses; vacuously true below two edges."""
-    spans = []
-    pos = order.position
-    for u, v in edges:
-        a, b = pos[u], pos[v]
-        spans.append((a, b) if a < b else (b, a))
-    for i in range(len(spans)):
-        a1, b1 = spans[i]
-        for j in range(i + 1, len(spans)):
-            a2, b2 = spans[j]
-            if not (a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1):
-                return False
-    return True
+    span_list = spans(order, edges)
+    return all(
+        spans_cross(s, span_list[j])
+        for i, s in enumerate(span_list)
+        for j in range(i + 1, len(span_list))
+    )
 
 
 @dataclass(frozen=True)
@@ -172,29 +196,21 @@ def verify_layout(g: Graph, layout: Layout) -> VerifyReport:
     if set(colors) != g.edges:
         raise InvalidParameterError("colouring must be total on the edge set")
 
-    pos = order.position
     classes: dict[int, list] = {}
     for e, c in colors.items():
         classes.setdefault(c, []).append(e)
 
-    pred = crosses if layout.kind == STACK else nests
+    pred = spans_cross if layout.kind == STACK else spans_nest
     violations = []
     for c in sorted(classes):
         edges = sorted(classes[c])
-        spans = []
-        for u, v in edges:
-            a, b = pos[u], pos[v]
-            spans.append((a, b) if a < b else (b, a))
+        span_list = spans(order, edges)
         if layout.kind == STACK:
-            bad = _class_has_crossing(spans, len(order))
+            bad = _class_has_crossing(span_list, len(order))
         else:
-            bad = _class_has_nesting(spans)
-        if not bad:
-            continue
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                if pred(order, edges[i], edges[j]):
-                    violations.append((edges[i], edges[j]))
+            bad = _class_has_nesting(span_list)
+        if bad:
+            violations.extend((edges[i], edges[j]) for i, j in _pairs(span_list, pred))
     violations.sort()
     return VerifyReport(not violations, violations)
 
@@ -204,20 +220,10 @@ def verify_layout(g: Graph, layout: Layout) -> VerifyReport:
 
 def _conflict_adjacency(g: Graph, order: LinearOrder) -> tuple[list, list]:
     edges = g.edge_list()
-    pos = order.position
-    spans = []
-    for u, v in edges:
-        a, b = pos[u], pos[v]
-        spans.append((a, b) if a < b else (b, a))
-    m = len(edges)
-    adj = [set() for _ in range(m)]
-    for i in range(m):
-        a1, b1 = spans[i]
-        for j in range(i + 1, m):
-            a2, b2 = spans[j]
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                adj[i].add(j)
-                adj[j].add(i)
+    adj = [set() for _ in edges]
+    for i, j in _pairs(spans(order, edges), spans_cross):
+        adj[i].add(j)
+        adj[j].add(i)
     return edges, adj
 
 
@@ -243,11 +249,11 @@ def _dsatur_greedy(adj) -> tuple[int, list[int]]:
     m = len(adj)
     colors = [-1] * m
     neighbour_colors = [set() for _ in range(m)]
+    degree = [len(a) for a in adj]
+    uncoloured = list(range(m))
     for _ in range(m):
-        v = min(
-            (u for u in range(m) if colors[u] == -1),
-            key=lambda u: (-len(neighbour_colors[u]), -len(adj[u]), u),
-        )
+        v = min(uncoloured, key=lambda u: (-len(neighbour_colors[u]), -degree[u], u))
+        uncoloured.remove(v)
         c = 0
         while c in neighbour_colors[v]:
             c += 1
@@ -352,33 +358,20 @@ def min_stack_colors_for_order(
 def min_queue_colors_for_order(g: Graph, order: LinearOrder):
     """Exact minimum number of queues for a fixed order, with a witness.
 
-    Equals the longest chain of pairwise nested edges; colouring an edge
-    by its chain depth makes every colour class nesting-free.
+    Equals the largest rainbow, a chain of pairwise nested edges (Heath and
+    Rosenberg).  With spans sorted by (left, right), a rainbow is a
+    strictly increasing subsequence of negated right ends, so an edge's
+    patience pile is the length of the longest rainbow strictly around it;
+    colouring by pile makes every class nesting-free.  O(m log m).
     """
     if len(order) != g.vertex_count:
         raise InvalidParameterError("order must cover the graph's vertices")
     edges = g.edge_list()
-    pos = order.position
-    spans = []
-    for u, v in edges:
-        a, b = pos[u], pos[v]
-        spans.append((a, b) if a < b else (b, a))
-    m = len(edges)
-    by_span = sorted(range(m), key=lambda i: (spans[i][0] - spans[i][1], spans[i]))
-    depth = [1] * m
-    done: list[int] = []
-    for i in by_span:
-        a2, b2 = spans[i]
-        best = 0
-        for j in done:
-            a1, b1 = spans[j]
-            if a1 < a2 and b2 < b1 and depth[j] > best:
-                best = depth[j]
-        depth[i] = best + 1
-        done.append(i)
-    k = max(depth) if depth else 0
-    coloring = EdgeColoring.from_colors({e: depth[i] - 1 for i, e in enumerate(edges)})
-    return k, coloring
+    span_list = spans(order, edges)
+    by_span = sorted(range(len(edges)), key=span_list.__getitem__)
+    piles = patience_piles([-span_list[i][1] for i in by_span])
+    coloring = EdgeColoring.from_colors({edges[i]: p for i, p in zip(by_span, piles)})
+    return coloring.k, coloring
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +397,14 @@ def layout_from_json_dict(doc: dict) -> Layout:
         for key, c in doc["colors"].items():
             u, v = key.split("-")
             colors[normalize_edge(int(u), int(v))] = int(c)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InvalidParameterError(f"malformed layout document: {exc}") from exc
     if kind not in (STACK, QUEUE):
         raise InvalidParameterError(f"unknown layout kind {kind!r}")
+    if any(c < 0 for c in colors.values()):
+        raise InvalidParameterError("colours must be nonnegative")
     return Layout(kind, order, EdgeColoring.from_colors(colors))
 
 
 def layout_from_json(text: str) -> Layout:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(f"invalid JSON: {exc}") from exc
-    return layout_from_json_dict(doc)
+    return layout_from_json_dict(load_json(text))

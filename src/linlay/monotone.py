@@ -11,38 +11,43 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InternalInvariantError, InvalidParameterError
 from .graphs import hex_coord
-from .layouts import LinearOrder
+
+if TYPE_CHECKING:  # layouts imports this module for its patience piles
+    from .layouts import LinearOrder
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
 
 
-def _lis_indices(values: Sequence) -> list[int]:
-    # patience piles with predecessor links; strictly increasing
-    tails: list = []          # smallest tail value per pile length
-    tails_idx: list[int] = []  # index of that tail in `values`
-    prev = [-1] * len(values)
-    for i, x in enumerate(values):
+def patience_piles(values: Sequence) -> list[int]:
+    """Pile of each value: one less than the length of the longest strictly
+    increasing subsequence that ends there.  O(len log len)."""
+    tails: list = []  # smallest tail value per pile
+    piles = []
+    for x in values:
         j = bisect_left(tails, x)
-        if j > 0:
-            prev[i] = tails_idx[j - 1]
         if j == len(tails):
             tails.append(x)
-            tails_idx.append(i)
         else:
             tails[j] = x
-            tails_idx[j] = i
-    if not tails_idx:
-        return []
+        piles.append(j)
+    return piles
+
+
+def _lis_indices(values: Sequence) -> list[int]:
+    # strictly increasing; walking back, the nearest earlier value on the
+    # pile below was that pile's tail when the later value was placed
+    piles = patience_piles(values)
+    want = max(piles, default=-1)
     chain = []
-    i = tails_idx[-1]
-    while i != -1:
-        chain.append(i)
-        i = prev[i]
+    for i in range(len(values) - 1, -1, -1):
+        if piles[i] == want:
+            chain.append(i)
+            want -= 1
     chain.reverse()
     return chain
 

@@ -11,6 +11,7 @@ once the family has (c-1)(d-1)+1 members.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Mapping, Optional
 
@@ -19,7 +20,7 @@ from .errors import (
     InvalidParameterError,
     PreconditionViolationError,
 )
-from .layouts import LinearOrder
+from .layouts import LinearOrder, spans, spans_cross
 
 SEPARATED_LT = "separated_lt"
 SEPARATED_GT = "separated_gt"
@@ -36,24 +37,31 @@ class PathFamily:
 
     ``paths[i]`` lists vertex ids along the grid path; consecutive entries
     are the path's edges.  ``leaves`` carries the leaf index behind each
-    path when known (used for deterministic tie-breaking).
+    path when known (used for deterministic tie-breaking).  Positions are
+    looked up once per path, on first use, for ``span`` and ``edge_spans``.
     """
 
     paths: tuple[tuple[int, ...], ...]
     order: LinearOrder
-    q_len: int
     leaves: Optional[tuple[int, ...]] = None
 
     def leaf_of(self, i: int) -> int:
         return self.leaves[i] if self.leaves is not None else i
 
-    def span(self, i: int) -> tuple[int, int]:
-        positions = [self.order.position[v] for v in self.paths[i]]
-        return min(positions), max(positions)
+    @cached_property
+    def _extents(self) -> tuple[tuple[int, int], ...]:
+        pos = self.order.position
+        return tuple(
+            (min(pos[v] for v in p), max(pos[v] for v in p)) for p in self.paths
+        )
 
-    def edges_of(self, i: int) -> list[tuple[int, int]]:
-        p = self.paths[i]
-        return [(p[j], p[j + 1]) for j in range(len(p) - 1)]
+    @cached_property
+    def edge_spans(self) -> tuple[list[tuple[int, int]], ...]:
+        """Spans of each path's edges, in path order."""
+        return tuple(spans(self.order, zip(p, p[1:])) for p in self.paths)
+
+    def span(self, i: int) -> tuple[int, int]:
+        return self._extents[i]
 
 
 def classify_pair(fam: PathFamily, i: int, j: int) -> str:
@@ -70,15 +78,10 @@ def classify_pair(fam: PathFamily, i: int, j: int) -> str:
         return SEPARATED_LT
     if hi_j < lo_i:
         return SEPARATED_GT
-    pos = fam.order.position
-    spans_i = []
-    for u, v in fam.edges_of(i):
-        a, b = pos[u], pos[v]
-        spans_i.append((a, b) if a < b else (b, a))
-    for u, v in fam.edges_of(j):
-        a2, b2 = (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
-        for a1, b1 in spans_i:
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
+    spans_j = fam.edge_spans[j]
+    for s in fam.edge_spans[i]:
+        for t in spans_j:
+            if spans_cross(s, t):
                 return CROSSING
     return NEITHER
 

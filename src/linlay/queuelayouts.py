@@ -70,26 +70,3 @@ def product_queue_layout(a: int, n: int) -> Layout:
             colors[(u, v)] = _hex_edge_class(lu.grid_part, lv.grid_part)
     return Layout(QUEUE, product_block_order(a, n), EdgeColoring.from_colors(colors))
 
-
-def weakly_nesting_pairs(layout: Layout) -> list:
-    """Same-colour pairs whose spans nest even weakly (shared endpoints
-    allowed); empty for the constructions above, which are strict."""
-    pos = layout.order.position
-    classes: dict[int, list] = {}
-    for e, c in layout.coloring.colors.items():
-        classes.setdefault(c, []).append(e)
-    offenders = []
-    for c, edges in sorted(classes.items()):
-        spans = []
-        for u, v in sorted(edges):
-            x, y = pos[u], pos[v]
-            spans.append(((x, y) if x < y else (y, x), (u, v)))
-        for i in range(len(spans)):
-            (a1, b1), e1 = spans[i]
-            for j in range(i + 1, len(spans)):
-                (a2, b2), e2 = spans[j]
-                if (a1, b1) == (a2, b2):
-                    continue
-                if (a1 <= a2 and b2 <= b1) or (a2 <= a1 and b1 <= b2):
-                    offenders.append((e1, e2))
-    return offenders

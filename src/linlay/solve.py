@@ -30,7 +30,6 @@ from .layouts import (
 class SolveBudget:
     max_vertices: int = 9
     max_orders: Optional[int] = None
-    time_hint: Optional[float] = None  # advisory only
 
 
 @dataclass

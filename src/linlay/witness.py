@@ -24,9 +24,9 @@ from .errors import (
     InternalInvariantError,
     InvalidParameterError,
 )
-from .graphs import hex_vertex_id, make_star_hex_product
+from .graphs import hex_vertex_id, make_star_hex_product, normalize_edge
 from .hexpath import BLUE, RED, GridColoring, find_monochromatic_path
-from .layouts import LinearOrder, is_pairwise_crossing
+from .layouts import LinearOrder, is_pairwise_crossing, spans_cross
 from .monotone import INCREASING, consistent_leaf_family
 from .poset import PathFamily, chain_or_antichain, classify_pair, ramsey_upper_bound
 
@@ -47,7 +47,6 @@ class ScaleParameters:
     c: int
     d: int
     b_bound: int
-    a_base: int
     a_exponent: int
     a_digits: int
 
@@ -67,7 +66,7 @@ def required_parameters(s: int) -> ScaleParameters:
         digits = int(
             (Decimal(m) * Decimal(b_bound).log10()).to_integral_value(rounding="ROUND_FLOOR")
         ) + 1
-    return ScaleParameters(s, n, m, c, d, b_bound, b_bound, m, digits)
+    return ScaleParameters(s, n, m, c, d, b_bound, m, digits)
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,6 @@ class InsufficientScale:
     largest_antichain: int
     required_c: int
     required_d: int
-
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 def case_separated(
@@ -117,7 +112,7 @@ def case_separated(
     mid_hub_pos = pos[hub_vertices[mid_hub]]
 
     def star_edge(path_index: int, grid_slot: int) -> tuple[int, int]:
-        return _norm(hub_vertices[grid_slot], fam.paths[path_index][grid_slot])
+        return normalize_edge(hub_vertices[grid_slot], fam.paths[path_index][grid_slot])
 
     if half == 0 or fam.span(chain[half - 1])[1] < mid_hub_pos:
         count = min(half, (n + 1) // 2)
@@ -136,9 +131,7 @@ def case_separated(
     return label, edges
 
 
-def case_crossing(
-    fam: PathFamily, crossing_indices: Sequence[int], n: int
-) -> tuple[str, tuple]:
+def case_crossing(fam: PathFamily, crossing_indices: Sequence[int]) -> tuple[str, tuple]:
     """Pairwise crossing bundle distilled from pairwise crossing paths.
 
     Among edges of the other paths that cross an edge of the lowest-leaf
@@ -153,28 +146,22 @@ def case_crossing(
     members = sorted(crossing_indices, key=lambda i: (fam.leaf_of(i), i))
     if len(members) < 2:
         raise InvalidParameterError("need at least two crossing paths")
-    base = members[0]
-    base_edges = []
-    for u, v in fam.edges_of(base):
-        a, b = pos[u], pos[v]
-        base_edges.append(((a, b) if a < b else (b, a)))
+    base_spans = fam.edge_spans[members[0]]
 
     # one entry per (crossed base edge) -> edges of other paths crossing it,
     # tagged with the grid slot of each endpoint
-    groups: dict[int, list] = {idx: [] for idx in range(len(base_edges))}
+    groups: dict[int, list] = {idx: [] for idx in range(len(base_spans))}
     for i in members[1:]:
         path = fam.paths[i]
-        for slot in range(len(path) - 1):
-            u, v = path[slot], path[slot + 1]
-            a, b = ((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]))
-            for idx, (lo, hi) in enumerate(base_edges):
-                if lo < a < hi < b or a < lo < b < hi:
-                    groups[idx].append((i, slot, u, v))
+        for slot, t in enumerate(fam.edge_spans[i]):
+            for idx, s in enumerate(base_spans):
+                if spans_cross(s, t):
+                    groups[idx].append((i, slot, path[slot], path[slot + 1]))
     best_idx = max(
-        range(len(base_edges)), key=lambda idx: (len(groups[idx]), [-x for x in base_edges[idx]])
+        range(len(base_spans)), key=lambda idx: (len(groups[idx]), [-x for x in base_spans[idx]])
     )
     chosen = groups[best_idx]
-    lo, hi = base_edges[best_idx]
+    lo, hi = base_spans[best_idx]
     if not chosen:
         raise InternalInvariantError("no edge of the other paths crosses the base path")
 
@@ -198,7 +185,7 @@ def case_crossing(
     key = max(by_outside, key=lambda k: (len(by_outside[k]), -k[1], -k[0]))
     survivors = by_outside[key]
 
-    edges = tuple(sorted({_norm(u, v) for _, _, u, v in survivors}))
+    edges = tuple(sorted({normalize_edge(u, v) for _, _, u, v in survivors}))
     if not is_pairwise_crossing(order, edges):
         raise InternalInvariantError("crossing-case edges failed to pairwise cross")
     return CASE_CROSSING, edges
@@ -234,7 +221,7 @@ def extract_crossing_witness(
     leaves = family.leaves
     paths = tuple(tuple(u * cells + s for s in slots) for u in leaves)
     hub_vertices = tuple(slots)  # hub has star id 0
-    fam = PathFamily(paths=paths, order=order, q_len=n, leaves=leaves)
+    fam = PathFamily(paths=paths, order=order, leaves=leaves)
 
     pos = order.position
     slot_direction = []
@@ -263,7 +250,7 @@ def extract_crossing_witness(
             # d = 1 asks for nothing: zero edges witness the trivial bound
             label, edges = CASE_CROSSING, ()
         else:
-            label, edges = case_crossing(fam, picked, n)
+            label, edges = case_crossing(fam, picked)
 
     product = make_star_hex_product(a, n)
     for e in edges:
@@ -335,7 +322,7 @@ def parameters_to_json_dict(params: ScaleParameters) -> dict:
         "d": params.d,
         "b_bound": params.b_bound,
         "a_bound": {
-            "base": params.a_base,
+            "base": params.b_bound,
             "exponent": params.a_exponent,
             "digits": params.a_digits,
         },

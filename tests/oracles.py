@@ -34,6 +34,48 @@ def oracle_nests(pos, e, f):
     return (a1 < a2 and b2 < b1) or (a2 < a1 and b1 < b2)
 
 
+def nesting_depth_colors(edges, seq):
+    """Queue colouring of a fixed order by nesting depth, in O(m^2): an
+    edge's colour is the length of the longest chain of edges strictly
+    nested around it.  Returns (k, {edge: colour})."""
+    pos = positions(seq)
+    edges = sorted(edges)
+    spans = [tuple(sorted((pos[u], pos[v]))) for u, v in edges]
+    m = len(edges)
+    by_span = sorted(range(m), key=lambda i: (spans[i][0] - spans[i][1], spans[i]))
+    depth = [1] * m
+    done = []
+    for i in by_span:
+        a2, b2 = spans[i]
+        best = 0
+        for j in done:
+            a1, b1 = spans[j]
+            if a1 < a2 and b2 < b1 and depth[j] > best:
+                best = depth[j]
+        depth[i] = best + 1
+        done.append(i)
+    return max(depth, default=0), {e: depth[i] - 1 for i, e in enumerate(edges)}
+
+
+def weakly_nesting_pairs(layout):
+    """Same-colour pairs whose spans nest even weakly (shared endpoints
+    allowed, identical spans excepted)."""
+    pos = positions(layout.order.sequence)
+    classes = {}
+    for e, c in layout.coloring.colors.items():
+        classes.setdefault(c, []).append(e)
+    offenders = []
+    for c, edges in sorted(classes.items()):
+        for e, f in combinations(sorted(edges), 2):
+            a1, b1 = sorted((pos[e[0]], pos[e[1]]))
+            a2, b2 = sorted((pos[f[0]], pos[f[1]]))
+            if (a1, b1) == (a2, b2):
+                continue
+            if (a1 <= a2 and b2 <= b1) or (a2 <= a1 and b1 <= b2):
+                offenders.append((e, f))
+    return offenders
+
+
 def brute_min_colors(edges, seq, kind):
     """Minimum colours for a fixed order by backtracking over edges."""
     pos = positions(seq)

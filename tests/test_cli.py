@@ -114,6 +114,46 @@ def test_verify_truncated_json(product_files, tmp_path):
     assert proc.returncode == 2
 
 
+_PAIR_GRAPH = {"kind": "plain", "vertices": [{"id": 0, "label": 0}, {"id": 1, "label": 1}],
+               "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "args, files",
+    [
+        (("solve", "{g}", "--kind", "stack"),
+         {"g": {"kind": "plain", "vertices": [{"label": 0}], "edges": []}}),
+        (("solve", "{g}", "--kind", "stack"),
+         {"g": {"kind": "hex", "n": 1, "vertices": [{"id": 0, "label": 5}], "edges": []}}),
+        (("solve", "{g}", "--kind", "queue"),
+         {"g": dict(_PAIR_GRAPH, edges=[[0]])}),
+        (("verify", "{g}", "{l}"),
+         {"g": _PAIR_GRAPH, "l": {"kind": "queue", "order": [0, 1], "colors": [0]}}),
+        (("verify", "{g}", "{l}"),
+         {"g": _PAIR_GRAPH, "l": {"kind": "queue", "order": [0, 1], "colors": {"0-1": -1}}}),
+        (("witness", "--a", "1", "--n", "1", "--c", "1", "--d", "1", "--order", "{o}"),
+         {"o": [0, "x"]}),
+        (("hexpath", "{c}"), {"c": b"\xff\xfe"}),
+    ],
+    ids=["vertex-without-id", "hex-scalar-label", "one-element-edge", "colors-as-list",
+         "negative-colour", "non-integer-order-entry", "undecodable-bytes"],
+)
+def test_malformed_input_exits_2_with_one_line(tmp_path, args, files):
+    paths = {}
+    for name, content in files.items():
+        path = tmp_path / f"{name}.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(json.dumps(content))
+        paths[name] = str(path)
+    proc = run_cli(*(a.format(**paths) for a in args))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -15,17 +15,26 @@ from linlay import (
     is_pairwise_crossing,
     layout_from_json,
     layout_to_json,
+    make_hex_dual,
     make_star,
     make_star_hex_product,
     min_queue_colors_for_order,
     min_stack_colors_for_order,
     nests,
     plain_graph,
+    product_block_order,
     product_queue_layout,
     verify_layout,
 )
 
-from oracles import brute_min_colors, complete_graph, oracle_crosses, oracle_nests, positions
+from oracles import (
+    brute_min_colors,
+    complete_graph,
+    nesting_depth_colors,
+    oracle_crosses,
+    oracle_nests,
+    positions,
+)
 
 
 def order_of(seq):
@@ -268,6 +277,37 @@ def test_queue_min_exhaustive_small_graphs():
             assert k == brute_min_colors(edges, seq, "queue")
 
 
+def _queue_min_against_oracle(g, order):
+    k, coloring = min_queue_colors_for_order(g, order)
+    want_k, want_colors = nesting_depth_colors(g.edges, order.sequence)
+    assert k == want_k
+    assert coloring.colors == want_colors
+    return k
+
+
+@pytest.mark.parametrize(
+    "g, seed",
+    [
+        (make_hex_dual(3), 11),
+        (make_hex_dual(3), 12),
+        (complete_graph(8), 13),
+        (complete_graph(8), 14),
+        (make_star_hex_product(3, 3), 15),
+        (make_star_hex_product(3, 3), 16),
+        (make_star_hex_product(5, 4), 17),
+    ],
+    ids=["H3-a", "H3-b", "K8-a", "K8-b", "S3xH3-a", "S3xH3-b", "S5xH4"],
+)
+def test_queue_min_matches_nesting_depth_oracle(g, seed):
+    seq = list(range(g.vertex_count))
+    Random(seed).shuffle(seq)
+    _queue_min_against_oracle(g, order_of(seq))
+
+
+def test_queue_min_block_order_matches_oracle():
+    assert _queue_min_against_oracle(make_star_hex_product(5, 4), product_block_order(5, 4)) == 4
+
+
 # ---------------------------------------------------------------------------
 # JSON
 
@@ -291,3 +331,5 @@ def test_layout_json_shape_and_errors():
         layout_from_json('{"kind": "queue"}')
     with pytest.raises(InvalidParameterError):
         layout_from_json('{"kind": "spiral", "order": [0], "colors": {}}')
+    with pytest.raises(InvalidParameterError):
+        layout_from_json('{"kind": "queue", "order": [0, 1], "colors": {"0-1": -1}}')

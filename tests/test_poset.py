@@ -34,7 +34,7 @@ def family_from_positions(position_rows, leaves=None):
         paths.append(tuple(path))
     assert None not in seq, "positions must tile 0..total-1"
     order = LinearOrder.from_sequence(seq)
-    return PathFamily(tuple(paths), order, q, tuple(leaves) if leaves else None)
+    return PathFamily(tuple(paths), order, tuple(leaves) if leaves else None)
 
 
 def uniform_random_family(rng, b, q):
@@ -57,7 +57,7 @@ def uniform_random_family(rng, b, q):
             paths[i][j] = vid
             vid += 1
     order = LinearOrder.from_sequence(seq)
-    return PathFamily(tuple(tuple(p) for p in paths), order, q)
+    return PathFamily(tuple(tuple(p) for p in paths), order)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ from linlay import (
     product_block_order,
     product_queue_layout,
     verify_layout,
-    weakly_nesting_pairs,
 )
+
+from oracles import weakly_nesting_pairs
 
 
 def test_single_cell_grid_layout():

@@ -33,8 +33,7 @@ from linlay.witness import (
 def test_parameters_s1():
     p = required_parameters(1)
     assert (p.n, p.m, p.c, p.d) == (2, 8, 2, 17)
-    assert p.b_bound == 17
-    assert (p.a_base, p.a_exponent) == (17, 8)
+    assert (p.b_bound, p.a_exponent) == (17, 8)
     assert p.a_digits == len(str(17 ** 8)) == 10
 
 
@@ -87,7 +86,7 @@ def synthetic_family(b, q, position_of):
     order = LinearOrder.from_sequence(seq)
     paths = tuple(tuple(u * q + j for j in range(q)) for u in range(1, b + 1))
     hubs = tuple(j for j in range(q))
-    return PathFamily(paths, order, q, tuple(range(1, b + 1))), hubs
+    return PathFamily(paths, order, tuple(range(1, b + 1))), hubs
 
 
 def test_case_separated_subcase_one_fan():
@@ -129,7 +128,7 @@ def test_case_crossing_block_twist():
         from linlay import classify_pair
 
         assert classify_pair(fam, i, j) == "crossing"
-    label, edges = case_crossing(fam, tuple(range(b)), q)
+    label, edges = case_crossing(fam, tuple(range(b)))
     assert label == "crossing_II"
     assert len(edges) == b - 1  # every other path lands in the same bundle
     assert is_pairwise_crossing(fam.order, edges)
@@ -137,7 +136,7 @@ def test_case_crossing_block_twist():
 
 def test_case_crossing_two_paths():
     fam, hubs = synthetic_family(2, 3, lambda u, j: j * 3 + u)
-    label, edges = case_crossing(fam, (0, 1), 3)
+    label, edges = case_crossing(fam, (0, 1))
     assert label == "crossing_II"
     assert len(edges) == 1
 
@@ -145,7 +144,7 @@ def test_case_crossing_two_paths():
 def test_case_crossing_needs_two_paths():
     fam, hubs = synthetic_family(2, 2, lambda u, j: j * 3 + u)
     with pytest.raises(InvalidParameterError):
-        case_crossing(fam, (0,), 2)
+        case_crossing(fam, (0,))
 
 
 # ---------------------------------------------------------------------------
