@@ -19,6 +19,7 @@ from .errors import (
     InvalidParameterError,
     PreconditionViolationError,
     ResourceLimitError,
+    json_int,
     load_json,
 )
 from .graphs import graph_from_json, graph_to_json, make_hex_dual, make_star, make_star_hex_product
@@ -162,14 +163,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_hexpath(args) -> int:
-    if args.random:
-        if args.n is None:
-            raise InvalidParameterError("--random requires --n")
-        coloring = random_coloring(args.n, Random(args.seed))
-    elif args.coloring is not None:
+    if args.random == (args.coloring is not None):
+        raise InvalidParameterError("provide one of a colouring file or --random --n N")
+    if args.coloring is not None:
         coloring = coloring_from_json(_read(args.coloring))
+    elif args.n is None:
+        raise InvalidParameterError("--random requires --n")
     else:
-        raise InvalidParameterError("provide a colouring file or --random --n N")
+        coloring = random_coloring(args.n, Random(args.seed))
     path = find_monochromatic_path(coloring)
     doc = {
         "n": coloring.n,
@@ -196,6 +197,8 @@ def _cmd_hexpath(args) -> int:
 
 def _cmd_witness(args) -> int:
     size = (args.a + 1) * args.n * args.n
+    if args.random == (args.order is not None):
+        raise InvalidParameterError("provide one of --order FILE or --random")
     if args.order is not None:
         raw = load_json(_read(args.order))
         if isinstance(raw, dict):
@@ -203,16 +206,14 @@ def _cmd_witness(args) -> int:
         if not isinstance(raw, list) or len(raw) != size:
             raise InvalidParameterError("order file must list every product vertex once")
         try:
-            order = LinearOrder.from_sequence([int(v) for v in raw])
+            order = LinearOrder.from_sequence([json_int(v) for v in raw])
         except (TypeError, ValueError) as exc:
             raise InvalidParameterError(f"malformed order file: {exc}") from exc
-    elif args.random:
+    else:
         rng = Random(args.seed)
         seq = list(range(size))
         rng.shuffle(seq)
         order = LinearOrder.from_sequence(seq)
-    else:
-        raise InvalidParameterError("provide --order FILE or --random")
     outcome = extract_crossing_witness(args.a, args.n, order, args.c, args.d, trace=args.trace)
     if isinstance(outcome, InsufficientScale):
         _emit(_dump(insufficient_to_json_dict(outcome)), args.output)

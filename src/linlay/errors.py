@@ -1,4 +1,4 @@
-"""Shared exception types, and the JSON reader that reports malformed
+"""Shared exception types, and the JSON readers that report malformed
 documents as InvalidParameterError."""
 
 import json
@@ -41,6 +41,13 @@ class FamilyTooSmallError(Exception):
 
 class InternalInvariantError(AssertionError):
     """A condition the algorithms guarantee internally did not hold."""
+
+
+def json_int(value) -> int:
+    """A JSON integer; unlike int(), refuses booleans, fractions and strings."""
+    if type(value) is not int:
+        raise InvalidParameterError(f"{value!r} is not an integer")
+    return value
 
 
 def load_json(text: str):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import InvalidParameterError, load_json
+from .errors import InvalidParameterError, json_int, load_json
 
 
 class GridCoord(NamedTuple):
@@ -256,14 +256,14 @@ def graph_to_json(g: Graph) -> str:
 def _label_from_json(kind, raw):
     if kind == "hex":
         a, b = raw
-        return GridCoord(int(a), int(b))
+        return GridCoord(json_int(a), json_int(b))
     if kind == "product":
         part, (a, b) = raw
-        part = STAR_ROOT if part == STAR_ROOT else int(part)
-        return ProductVertex(part, GridCoord(int(a), int(b)))
+        part = STAR_ROOT if part == STAR_ROOT else json_int(part)
+        return ProductVertex(part, GridCoord(json_int(a), json_int(b)))
     if kind == "star":
-        return STAR_ROOT if raw == STAR_ROOT else int(raw)
-    return int(raw)
+        return STAR_ROOT if raw == STAR_ROOT else json_int(raw)
+    return json_int(raw)
 
 
 def graph_from_json_dict(doc: dict) -> Graph:
@@ -271,9 +271,9 @@ def graph_from_json_dict(doc: dict) -> Graph:
         kind = doc["kind"]
         if kind not in ("plain", "hex", "star", "product"):
             raise InvalidParameterError(f"unknown graph kind {kind!r}")
-        ids = [v["id"] for v in doc["vertices"]]
+        ids = [json_int(v["id"]) for v in doc["vertices"]]
         labels = [_label_from_json(kind, v["label"]) for v in doc["vertices"]]
-        pairs = [(int(u), int(v)) for u, v in doc["edges"]]
+        pairs = [(json_int(u), json_int(v)) for u, v in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed graph document: {exc}") from exc
     if ids != list(range(len(ids))):

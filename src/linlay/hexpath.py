@@ -9,6 +9,14 @@ colours until some component touches the right or top side.  That final
 component stretches from the bottom to the top (or left to right), and a
 shortest path across it cannot skip a row (or column), so it has at least
 n vertices.
+
+The monochromatic components are labelled once per colouring, and those
+that touch form a tree: the neighbours of a component inside one piece of
+its complement are connected (every bounded face is a triangle) and of the
+other colour, so each piece meets the component through one component
+only.  The far side of a component is thus the subtree beyond it on the
+tree path to the component of [n,n], and the walk is that path, cut at the
+first component that touches the right or top side.
 """
 
 from __future__ import annotations
@@ -18,8 +26,9 @@ from dataclasses import dataclass
 from random import Random
 from typing import FrozenSet, Iterable, Optional
 
-from .errors import InternalInvariantError, InvalidParameterError, load_json
-from .graphs import GridCoord, hex_coord, hex_vertex_id, make_hex_dual, shortest_path
+from .errors import InternalInvariantError, InvalidParameterError, json_int, load_json
+from .graphs import (GridCoord, connected_components, hex_coord, hex_vertex_id, make_hex_dual,
+                     plain_graph, shortest_path)
 
 RED = "R"
 BLUE = "B"
@@ -52,10 +61,7 @@ class GridColoring:
 
 
 def random_coloring(n: int, rng: Random) -> GridColoring:
-    rows = tuple(
-        tuple(RED if rng.getrandbits(1) else BLUE for _ in range(n)) for _ in range(n)
-    )
-    return GridColoring(n, rows)
+    return GridColoring.from_function(n, lambda c: RED if rng.getrandbits(1) else BLUE)
 
 
 @dataclass(frozen=True)
@@ -66,62 +72,67 @@ class BoundaryStep:
 
 
 def _side_ids(n: int):
-    left = frozenset(hex_vertex_id(GridCoord(1, j), n) for j in range(1, n + 1))
-    right = frozenset(hex_vertex_id(GridCoord(n, j), n) for j in range(1, n + 1))
-    bottom = frozenset(hex_vertex_id(GridCoord(i, 1), n) for i in range(1, n + 1))
-    top = frozenset(hex_vertex_id(GridCoord(i, n), n) for i in range(1, n + 1))
-    return left, right, bottom, top
-
-
-def _component_ids(adjacency, allowed: set[int], start: int) -> set[int]:
-    comp = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w in allowed and w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return comp
-
-
-def _far_boundary_ids(n: int, x_ids: set[int]) -> set[int]:
-    grid = make_hex_dual(n)
-    adjacency = grid.adjacency
-    corner = n * n - 1
-    if corner in x_ids:
-        raise InvalidParameterError("the set must avoid the [n,n] corner")
-    if not x_ids:
-        raise InvalidParameterError("the set must be nonempty")
-    if _component_ids(adjacency, set(x_ids), next(iter(x_ids))) != x_ids:
-        raise InvalidParameterError("the set must induce a connected subgraph")
-    complement = set(range(n * n)) - x_ids
-    far_side = _component_ids(adjacency, complement, corner)
-    boundary = {
-        w for v in x_ids for w in adjacency[v] if w in far_side
-    }
-    # all bounded faces are triangles, which forces the boundary connected
-    if boundary and _component_ids(adjacency, set(boundary), next(iter(boundary))) != boundary:
-        raise InternalInvariantError("far boundary split into several pieces")
-    return boundary
+    """Row-major ids of the left, right, bottom and top sides."""
+    ids = range(n * n)
+    return [frozenset(side) for side in (ids[::n], ids[n - 1::n], ids[:n], ids[-n:])]
 
 
 def far_boundary(n: int, x: Iterable[GridCoord]) -> FrozenSet[GridCoord]:
     """Neighbours of the connected set x inside the component of [n,n]
     left after removing x; always induces a connected subgraph."""
-    x_ids = {hex_vertex_id(GridCoord(*c), n) for c in x}
-    return frozenset(hex_coord(v, n) for v in _far_boundary_ids(n, x_ids))
+    grid = make_hex_dual(n)
+    cells = [GridCoord(*c) for c in x]
+    if any(not (1 <= a <= n and 1 <= b <= n) for a, b in cells):
+        raise InvalidParameterError(f"every cell must lie inside the {n} x {n} grid")
+    x_ids = {hex_vertex_id(c, n) for c in cells}
+    corner = n * n - 1
+    if corner in x_ids:
+        raise InvalidParameterError("the set must avoid the [n,n] corner")
+    if not x_ids:
+        raise InvalidParameterError("the set must be nonempty")
+    if len(connected_components(grid, x_ids)) != 1:
+        raise InvalidParameterError("the set must induce a connected subgraph")
+    rest = connected_components(grid, set(range(n * n)) - x_ids)
+    far_side = next(piece for piece in rest if corner in piece)
+    boundary = {w for v in x_ids for w in grid.adjacency[v] if w in far_side}
+    # all bounded faces are triangles, which forces the boundary connected
+    if len(connected_components(grid, boundary)) != 1:
+        raise InternalInvariantError("far boundary split into several pieces")
+    return frozenset(hex_coord(v, n) for v in boundary)
 
 
-def _color_ids(coloring: GridColoring) -> bytearray:
+def _walk(coloring: GridColoring) -> list[tuple[frozenset[int], Optional[frozenset[int]]]]:
+    """The component walk on vertex ids: (component, far boundary) per step,
+    with no far boundary on the terminal step."""
     n = coloring.n
-    flags = bytearray(n * n)
-    for b in range(n):
-        row = coloring.rows[b]
-        base = b * n
-        for a in range(n):
-            flags[base + a] = 1 if row[a] == RED else 0
-    return flags
+    grid = make_hex_dual(n)
+    red = {v for v in range(n * n) if coloring.rows[v // n][v % n] == RED}
+    blue = set(range(n * n)) - red
+    components = connected_components(grid, red) + connected_components(grid, blue)
+    label = {v: i for i, component in enumerate(components) for v in component}
+    links = {(label[u], label[v]) for u, v in grid.edges if label[u] != label[v]}
+    tree = plain_graph(len(components), links)
+    if len(tree.edges) != len(components) - 1:
+        raise InternalInvariantError("monochromatic components do not form a tree")
+    left, right, bottom, top = _side_ids(n)
+    far = right | top
+    route = shortest_path(tree, label[0], label[n * n - 1])
+    walk = []
+    for here, beyond in zip(route, route[1:]):
+        component = components[here]
+        if component & far:
+            break
+        boundary = frozenset(
+            w for v in component for w in grid.adjacency[v] if label[w] == beyond
+        )
+        if not (boundary & left and boundary & bottom):
+            raise InternalInvariantError("far boundary misses the left or bottom side")
+        # all bounded faces are triangles, which forces the boundary connected
+        if len(connected_components(grid, boundary)) != 1:
+            raise InternalInvariantError("far boundary split into several pieces")
+        walk.append((component, boundary))
+    walk.append((components[route[len(walk)]], None))
+    return walk
 
 
 def boundary_sequence(coloring: GridColoring) -> list[BoundaryStep]:
@@ -129,36 +140,18 @@ def boundary_sequence(coloring: GridColoring) -> list[BoundaryStep]:
     that touches the right or top side; the terminal step has no far
     boundary recorded."""
     n = coloring.n
-    grid = make_hex_dual(n)
-    adjacency = grid.adjacency
-    left, right, bottom, top = _side_ids(n)
-    far = right | top
-    is_red = _color_ids(coloring)
 
     def as_coords(ids) -> FrozenSet[GridCoord]:
         return frozenset(hex_coord(v, n) for v in ids)
 
-    steps: list[BoundaryStep] = []
-    same_color = {v for v in range(n * n) if is_red[v] == is_red[0]}
-    component = _component_ids(adjacency, same_color, 0)
-    while True:
-        color = RED if is_red[next(iter(component))] else BLUE
-        if component & far:
-            steps.append(BoundaryStep(as_coords(component), color, None))
-            return steps
-        boundary = _far_boundary_ids(n, component)
-        if not (boundary & left and boundary & bottom):
-            raise InternalInvariantError("far boundary misses the left or bottom side")
-        steps.append(BoundaryStep(as_coords(component), color, as_coords(boundary)))
-        if len(steps) > n * n:
-            raise InternalInvariantError("component walk failed to terminate")
-        seed = next(iter(boundary))
-        if is_red[seed] == (color == RED):
-            raise InternalInvariantError("far boundary kept the colour of its component")
-        same_color = {v for v in range(n * n) if is_red[v] == is_red[seed]}
-        component = _component_ids(adjacency, same_color, seed)
-        if not boundary <= component:
-            raise InternalInvariantError("far boundary split across components")
+    return [
+        BoundaryStep(
+            as_coords(component),
+            coloring.color(hex_coord(next(iter(component)), n)),
+            None if boundary is None else as_coords(boundary),
+        )
+        for component, boundary in _walk(coloring)
+    ]
 
 
 def find_monochromatic_path(coloring: GridColoring) -> list[GridCoord]:
@@ -169,10 +162,7 @@ def find_monochromatic_path(coloring: GridColoring) -> list[GridCoord]:
     candidate endpoints the lexicographically smallest coordinate wins.
     """
     n = coloring.n
-    if n == 1:
-        return [GridCoord(1, 1)]
-    steps = boundary_sequence(coloring)
-    terminal = {hex_vertex_id(c, n) for c in steps[-1].component}
+    terminal, _ = _walk(coloring)[-1]
     grid = make_hex_dual(n)
     left, right, bottom, top = _side_ids(n)
     if terminal & top:
@@ -200,7 +190,7 @@ def coloring_to_json(coloring: GridColoring) -> str:
 
 def coloring_from_json_dict(doc: dict) -> GridColoring:
     try:
-        n = int(doc["n"])
+        n = json_int(doc["n"])
         rows = tuple(tuple(str(c) for c in row) for row in doc["rows"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed colouring document: {exc}") from exc

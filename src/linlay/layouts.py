@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidParameterError, ResourceLimitError, load_json
+from .errors import InvalidParameterError, ResourceLimitError, json_int, load_json
 from .graphs import Graph, normalize_edge
 from .monotone import patience_piles
 
@@ -392,11 +392,11 @@ def layout_to_json(layout: Layout) -> str:
 def layout_from_json_dict(doc: dict) -> Layout:
     try:
         kind = doc["kind"]
-        order = LinearOrder.from_sequence(int(v) for v in doc["order"])
+        order = LinearOrder.from_sequence(json_int(v) for v in doc["order"])
         colors = {}
         for key, c in doc["colors"].items():
             u, v = key.split("-")
-            colors[normalize_edge(int(u), int(v))] = int(c)
+            colors[normalize_edge(int(u), int(v))] = json_int(c)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InvalidParameterError(f"malformed layout document: {exc}") from exc
     if kind not in (STACK, QUEUE):

@@ -134,9 +134,31 @@ _PAIR_GRAPH = {"kind": "plain", "vertices": [{"id": 0, "label": 0}, {"id": 1, "l
         (("witness", "--a", "1", "--n", "1", "--c", "1", "--d", "1", "--order", "{o}"),
          {"o": [0, "x"]}),
         (("hexpath", "{c}"), {"c": b"\xff\xfe"}),
+        (("solve", "{g}", "--kind", "stack"),
+         {"g": dict(_PAIR_GRAPH, vertices=[{"id": 0, "label": 0}, {"id": True, "label": 1}])}),
+        (("solve", "{g}", "--kind", "stack"),
+         {"g": {"kind": "hex", "n": 1, "vertices": [{"id": 0, "label": [1, 1.5]}], "edges": []}}),
+        (("solve", "{g}", "--kind", "stack"), {"g": dict(_PAIR_GRAPH, edges=[[0, 1.9]])}),
+        (("solve", "{g}", "--kind", "stack"),
+         {"g": dict(_PAIR_GRAPH, edges=[[0, float("inf")]])}),
+        (("verify", "{g}", "{l}"),
+         {"g": _PAIR_GRAPH, "l": {"kind": "queue", "order": [0, 1.7], "colors": {"0-1": 0}}}),
+        (("verify", "{g}", "{l}"),
+         {"g": _PAIR_GRAPH, "l": {"kind": "queue", "order": [0, 1], "colors": {"0-1": 0.9}}}),
+        (("hexpath", "{c}"), {"c": {"n": 1.6, "rows": [["R"]]}}),
+        (("witness", "--a", "1", "--n", "1", "--c", "1", "--d", "1", "--order", "{o}"),
+         {"o": [0, 1.5]}),
+        (("hexpath", "{c}", "--random", "--n", "2"), {"c": {"n": 1, "rows": [["R"]]}}),
+        (("witness", "--a", "1", "--n", "1", "--c", "1", "--d", "1", "--order", "{o}",
+          "--random"), {"o": [0, 1]}),
     ],
     ids=["vertex-without-id", "hex-scalar-label", "one-element-edge", "colors-as-list",
-         "negative-colour", "non-integer-order-entry", "undecodable-bytes"],
+         "negative-colour", "non-integer-order-entry", "undecodable-bytes",
+         "boolean-vertex-id", "fractional-hex-label", "fractional-edge-endpoint",
+         "infinite-edge-endpoint",
+         "fractional-order-entry", "fractional-colour", "fractional-coloring-n",
+         "fractional-witness-order-entry", "hexpath-file-and-random",
+         "witness-order-and-random"],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, args, files):
     paths = {}

@@ -1,11 +1,14 @@
+import itertools
 import json
 from random import Random
 
 import pytest
 
+import linlay.hexpath
 from linlay import (
     GridColoring,
     GridCoord,
+    InternalInvariantError,
     InvalidParameterError,
     boundary_sequence,
     coloring_from_json,
@@ -13,6 +16,7 @@ from linlay import (
     far_boundary,
     find_monochromatic_path,
     make_hex_dual,
+    plain_graph,
     random_coloring,
 )
 
@@ -25,6 +29,14 @@ def coords(pairs):
 
 def solid(n, color):
     return GridColoring.from_function(n, lambda c: color)
+
+
+def shells(n):
+    return GridColoring.from_function(n, lambda c: "RB"[max(c.a, c.b) % 2])
+
+
+def stripes(n):
+    return GridColoring.from_function(n, lambda c: "RB"[(c.a + c.b) // 2 % 2])
 
 
 def check_path(coloring, path):
@@ -76,6 +88,9 @@ def test_far_boundary_rejects_bad_sets():
         far_boundary(3, [(3, 3)])  # contains the far corner
     with pytest.raises(InvalidParameterError):
         far_boundary(3, [])
+    for outside in ((4, 1), (0, 1), (3, 4)):
+        with pytest.raises(InvalidParameterError):
+            far_boundary(3, [outside])
 
 
 def test_far_boundary_connected_property():
@@ -168,6 +183,44 @@ def test_boundary_alternation_random():
         assert steps[-1].component & far
         for step in steps[:-1]:
             assert not step.component & far
+
+
+def assert_walk_follows_definition(coloring):
+    steps = boundary_sequence(coloring)
+    for step in steps[:-1]:
+        assert step.far_boundary == far_boundary(coloring.n, step.component)
+    return steps
+
+
+def test_walk_matches_far_boundary_definition_random():
+    rng = Random(2718)
+    for n, tenths, _ in itertools.product(range(2, 17), range(1, 10), range(3)):
+        cells = {(a, b): rng.random() < tenths / 10 for a in range(1, n + 1)
+                 for b in range(1, n + 1)}
+        coloring = GridColoring.from_function(n, lambda c: "R" if cells[c] else "B")
+        assert_walk_follows_definition(coloring)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+def test_walk_matches_far_boundary_definition_structured(n):
+    assert len(assert_walk_follows_definition(shells(n))) == n
+    assert len(assert_walk_follows_definition(stripes(n))) == (n + 1) // 2
+
+
+def test_shells_walk_takes_n_steps_at_64():
+    steps = boundary_sequence(shells(64))
+    assert len(steps) == 64
+    assert [len(s.component) for s in steps] == [2 * k - 1 for k in range(1, 65)]
+    check_path(shells(64), find_monochromatic_path(shells(64)))
+
+
+def test_component_cycle_raises(monkeypatch):
+    # without the diagonals the 2 x 2 grid is a 4-cycle, and a checkerboard
+    # splits it into four singleton components joined in a cycle
+    square = plain_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    monkeypatch.setattr(linlay.hexpath, "make_hex_dual", lambda n: square)
+    with pytest.raises(InternalInvariantError, match="tree"):
+        boundary_sequence(GridColoring(2, (("R", "B"), ("B", "R"))))
 
 
 # ---------------------------------------------------------------------------
