@@ -14,7 +14,7 @@ for n in range(3, 8):
     g = plain_graph(n, combinations(range(n), 2))
     sn = stack_number(g)
     qn = queue_number(g)
-    print(f"  K_{n}: stack {sn.k} ({sn.orders_scanned} orders scanned), "
+    print(f"  K_{n}: stack {sn.k} ({sn.orders_scanned} orders evaluated), "
           f"queue {qn.k} ({qn.orders_scanned} orders)")
 
 print("\nsmall grids:")

@@ -274,6 +274,8 @@ def graph_from_json_dict(doc: dict) -> Graph:
         ids = [json_int(v["id"]) for v in doc["vertices"]]
         labels = [_label_from_json(kind, v["label"]) for v in doc["vertices"]]
         pairs = [(json_int(u), json_int(v)) for u, v in doc["edges"]]
+        hex_n = json_int(doc["n"]) if kind in ("hex", "product") else None
+        star_a = json_int(doc["a"]) if kind in ("star", "product") else None
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed graph document: {exc}") from exc
     if ids != list(range(len(ids))):
@@ -281,7 +283,14 @@ def graph_from_json_dict(doc: dict) -> Graph:
     for u, v in pairs:
         if not u < v:
             raise InvalidParameterError(f"edge {[u, v]} not stored with u < v")
-    return _make_graph(kind, labels, pairs, hex_n=doc.get("n"), star_a=doc.get("a"))
+    for name, size in (("n", hex_n), ("a", star_a)):
+        if size is not None and size < 1:
+            raise InvalidParameterError(f"{name!r} must be a positive integer")
+    cells = 1 if hex_n is None else hex_n * hex_n
+    copies = 1 if star_a is None else star_a + 1
+    if kind != "plain" and cells * copies != len(ids):
+        raise InvalidParameterError(f"{len(ids)} vertices do not fit a {kind} graph of that size")
+    return _make_graph(kind, labels, pairs, hex_n=hex_n, star_a=star_a)
 
 
 def graph_from_json(text: str) -> Graph:

@@ -81,9 +81,12 @@ def far_boundary(n: int, x: Iterable[GridCoord]) -> FrozenSet[GridCoord]:
     """Neighbours of the connected set x inside the component of [n,n]
     left after removing x; always induces a connected subgraph."""
     grid = make_hex_dual(n)
-    cells = [GridCoord(*c) for c in x]
-    if any(not (1 <= a <= n and 1 <= b <= n) for a, b in cells):
-        raise InvalidParameterError(f"every cell must lie inside the {n} x {n} grid")
+    try:
+        cells = [GridCoord(*c) for c in x]
+    except TypeError as exc:
+        raise InvalidParameterError(f"every cell must be a coordinate pair: {exc}") from exc
+    if not all(type(v) is int and 1 <= v <= n for cell in cells for v in cell):
+        raise InvalidParameterError(f"every cell must be an integer pair inside the {n} x {n} grid")
     x_ids = {hex_vertex_id(c, n) for c in cells}
     corner = n * n - 1
     if corner in x_ids:

@@ -3,10 +3,12 @@
 A k-stack layout forbids two same-colour edges from crossing; a k-queue
 layout forbids them from nesting.  Both are questions about edge spans,
 the (left, right) positions of an edge's ends: ``spans`` computes them and
-``spans_cross`` / ``spans_nest`` answer them for one pair.  For a fixed
-order the queue minimum is the largest rainbow (chain of pairwise nested
-edges), found by patience piles; the stack minimum is an exact chromatic
-number of the crossing-conflict graph, solved by branch and bound.
+``spans_cross`` / ``spans_nest`` answer them for one pair, and
+``largest_crossing`` / ``largest_rainbow`` size the largest pairwise
+crossing / nested span sets by patience piles.  For a fixed order the queue
+minimum is the largest rainbow; the stack minimum is an exact chromatic
+number of the crossing-conflict graph, solved by branch and bound from the
+largest crossing set up.
 """
 
 from __future__ import annotations
@@ -64,6 +66,25 @@ def spans(order: LinearOrder, edges: Iterable) -> list[tuple[int, int]]:
         a, b = pos[u], pos[v]
         out.append((a, b) if a < b else (b, a))
     return out
+
+
+def largest_crossing(span_list: Sequence[tuple[int, int]]) -> int:
+    """Size of the largest pairwise-crossing subset of the spans.
+
+    Sorted by left end, a pairwise-crossing set has every left end before
+    every right end, and both ends strictly increasing; so it straddles
+    the gap just after some left end g.  Per gap this is a longest chain:
+    spans around the gap sorted by (left, -right), then a strictly
+    increasing run of right ends.  Equals the maximum clique of the
+    circle graph the spans define (Gavril).  O(n m log m).
+    """
+    by_left = sorted(span_list, key=lambda s: (s[0], -s[1]))
+    best = 0
+    for g in sorted({a for a, _ in span_list}):
+        rights = [b for a, b in by_left if a <= g < b]
+        if len(rights) > best:
+            best = max(best, 1 + max(patience_piles(rights)))
+    return best
 
 
 def spans_cross(s: tuple[int, int], t: tuple[int, int]) -> bool:
@@ -218,31 +239,12 @@ def verify_layout(g: Graph, layout: Layout) -> VerifyReport:
 # ---------------------------------------------------------------------------
 # per-order minima
 
-def _conflict_adjacency(g: Graph, order: LinearOrder) -> tuple[list, list]:
-    edges = g.edge_list()
-    adj = [set() for _ in edges]
-    for i, j in _pairs(spans(order, edges), spans_cross):
+def _conflict_adjacency(span_list: list) -> list:
+    adj = [set() for _ in span_list]
+    for i, j in _pairs(span_list, spans_cross):
         adj[i].add(j)
         adj[j].add(i)
-    return edges, adj
-
-
-def _greedy_clique(adj) -> list[int]:
-    # seed from the highest-degree vertex, extend by degree then id
-    m = len(adj)
-    if m == 0:
-        return []
-    best: list[int] = []
-    for seed in sorted(range(m), key=lambda v: (-len(adj[v]), v))[: max(1, m // 8)]:
-        clique = [seed]
-        cands = set(adj[seed])
-        while cands:
-            v = min(cands, key=lambda w: (-len(adj[w] & cands), w))
-            clique.append(v)
-            cands &= adj[v]
-        if len(clique) > len(best):
-            best = clique
-    return best
+    return adj
 
 
 def _dsatur_greedy(adj) -> tuple[int, list[int]]:
@@ -263,8 +265,9 @@ def _dsatur_greedy(adj) -> tuple[int, list[int]]:
     return (1 + max(colors) if colors else 0), colors
 
 
-def _exact_coloring(adj, cutoff: Optional[int] = None):
-    """Exact chromatic number of a conflict graph by DSATUR branch and bound.
+def _exact_coloring(adj, lower: int, cutoff: Optional[int] = None):
+    """Exact chromatic number of a conflict graph by DSATUR branch and bound,
+    given a clique size ``lower``; the search ends once it reaches it.
 
     With a cutoff, only colourings using fewer than ``cutoff`` colours are
     of interest; (None, None) signals that none exists.
@@ -275,7 +278,6 @@ def _exact_coloring(adj, cutoff: Optional[int] = None):
             return None, None
         return 0, []
     greedy_k, greedy_colors = _dsatur_greedy(adj)
-    lower = max(1, len(_greedy_clique(adj)))
 
     if cutoff is None or greedy_k < cutoff:
         best_k, best_colors = greedy_k, list(greedy_colors)
@@ -347,30 +349,45 @@ def min_stack_colors_for_order(
             lower=1 if g.edges else 0,
             upper=len(g.edges),
         )
-    edges, adj = _conflict_adjacency(g, order)
-    k, colors = _exact_coloring(adj, cutoff=_cutoff)
+    edges = g.edge_list()
+    span_list = spans(order, edges)
+    k, colors = _exact_coloring(
+        _conflict_adjacency(span_list), largest_crossing(span_list), cutoff=_cutoff
+    )
     if k is None:
         return None, None
     coloring = EdgeColoring.from_colors({e: colors[i] for i, e in enumerate(edges)})
     return k, coloring
 
 
+def _rainbow_piles(span_list: Sequence[tuple[int, int]]) -> list[int]:
+    # with spans sorted by (left, right), a rainbow is a strictly increasing
+    # run of negated right ends, so a span's patience pile is the length of
+    # the longest rainbow strictly around it
+    by_span = sorted(range(len(span_list)), key=span_list.__getitem__)
+    piles = [0] * len(span_list)
+    for i, p in zip(by_span, patience_piles([-span_list[i][1] for i in by_span])):
+        piles[i] = p
+    return piles
+
+
+def largest_rainbow(span_list: Sequence[tuple[int, int]]) -> int:
+    """Size of the largest pairwise-nested subset of the spans (a rainbow)."""
+    return 1 + max(_rainbow_piles(span_list), default=-1)
+
+
 def min_queue_colors_for_order(g: Graph, order: LinearOrder):
     """Exact minimum number of queues for a fixed order, with a witness.
 
     Equals the largest rainbow, a chain of pairwise nested edges (Heath and
-    Rosenberg).  With spans sorted by (left, right), a rainbow is a
-    strictly increasing subsequence of negated right ends, so an edge's
-    patience pile is the length of the longest rainbow strictly around it;
-    colouring by pile makes every class nesting-free.  O(m log m).
+    Rosenberg); colouring each edge by the length of the longest rainbow
+    strictly around it makes every class nesting-free.  O(m log m).
     """
     if len(order) != g.vertex_count:
         raise InvalidParameterError("order must cover the graph's vertices")
     edges = g.edge_list()
-    span_list = spans(order, edges)
-    by_span = sorted(range(len(edges)), key=span_list.__getitem__)
-    piles = patience_piles([-span_list[i][1] for i in by_span])
-    coloring = EdgeColoring.from_colors({edges[i]: p for i, p in zip(by_span, piles)})
+    piles = _rainbow_piles(spans(order, edges))
+    coloring = EdgeColoring.from_colors({e: piles[i] for i, e in enumerate(edges)})
     return coloring.k, coloring
 
 

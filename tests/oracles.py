@@ -3,16 +3,42 @@
 Everything here is deliberately naive: positions are recomputed from raw
 sequences, predicates are inlined, and minima come from exhaustive
 enumeration or plain backtracking, so the oracles share no machinery with
-the library paths they check.
+the library paths they check.  The one exception, ``scan_layout_number``,
+says why in its docstring.
 """
 
 from itertools import combinations, permutations
 
-from linlay import connected_components, hex_coord, make_hex_dual, plain_graph
+from linlay import (
+    LinearOrder,
+    connected_components,
+    hex_coord,
+    make_hex_dual,
+    min_queue_colors_for_order,
+    min_stack_colors_for_order,
+    plain_graph,
+)
 
 
 def complete_graph(n):
     return plain_graph(n, combinations(range(n), 2))
+
+
+def complete_bipartite(a, b):
+    return plain_graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
+def square_grid(n):
+    """The n x n grid without diagonals, ids row-major."""
+    edges = [(v, v + 1) for v in range(n * n) if v % n < n - 1]
+    return plain_graph(n * n, edges + [(v, v + n) for v in range(n * n - n)])
+
+
+def cube_graph():
+    """The 3-cube: faces 0-1-2-3 and 7-6-5-4, with i ~ 7 - i between them,
+    so the identity order nests four edges."""
+    faces = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)]
+    return plain_graph(8, faces + [(i, 7 - i) for i in range(4)])
 
 
 def positions(seq):
@@ -117,6 +143,40 @@ def brute_layout_number(n_vertices, edges, kind):
         best = k if best is None else min(best, k)
         if best == (1 if edges else 0):
             break
+    return best
+
+
+def scan_layout_number(g, kind):
+    """Exact stack or queue number by evaluating every vertex order up to
+    symmetry in lexicographic order, keeping the first strictly better one.
+
+    Stack orders pin vertex 0 first and keep rest[0] < rest[-1]; queue
+    orders keep perm[0] < perm[-1].  Unlike the rest of this module it
+    calls the library's per-order minima (the stack one with the best count
+    so far as its cutoff), so that it checks the solver's search, including
+    which optimal order and colouring it returns.  Returns
+    (k, order sequence, colour dict).
+    """
+    n = g.vertex_count
+    if not g.edges:
+        return 0, tuple(range(n)), {}
+    if kind == "stack":
+        orders = ((0, *rest) for rest in permutations(range(1, n)) if n <= 2 or rest[0] < rest[-1])
+    else:
+        orders = (perm for perm in permutations(range(n)) if perm[0] < perm[-1])
+    best_k = best = None
+    for seq in orders:
+        order = LinearOrder.from_sequence(seq)
+        if kind == "stack":
+            k, coloring = min_stack_colors_for_order(
+                g, order, max_edges=len(g.edges), _cutoff=best_k
+            )
+        else:
+            k, coloring = min_queue_colors_for_order(g, order)
+        if k is not None and (best_k is None or k < best_k):
+            best_k, best = k, (k, seq, coloring.colors)
+            if k == 1:  # no graph with an edge needs fewer
+                break
     return best
 
 

@@ -14,7 +14,7 @@ from linlay import (
     product_queue_layout,
 )
 
-from oracles import complete_graph
+from oracles import complete_graph, cube_graph
 
 
 def run_cli(*args, **kwargs):
@@ -151,6 +151,17 @@ _PAIR_GRAPH = {"kind": "plain", "vertices": [{"id": 0, "label": 0}, {"id": 1, "l
         (("hexpath", "{c}", "--random", "--n", "2"), {"c": {"n": 1, "rows": [["R"]]}}),
         (("witness", "--a", "1", "--n", "1", "--c", "1", "--d", "1", "--order", "{o}",
           "--random"), {"o": [0, 1]}),
+        (("solve", "{g}", "--kind", "stack"),
+         {"g": {"kind": "hex", "n": "x", "vertices": [{"id": 0, "label": [1, 1]}], "edges": []}}),
+        (("solve", "{g}", "--kind", "stack"),
+         {"g": {"kind": "hex", "n": 2, "vertices": [{"id": 0, "label": [1, 1]}], "edges": []}}),
+        (("solve", "{g}", "--kind", "queue"),
+         {"g": {"kind": "star", "a": 2, "vertices": [{"id": 0, "label": "t"}, {"id": 1, "label": 1}],
+                "edges": [[0, 1]]}}),
+        (("solve", "{g}", "--kind", "queue"),
+         {"g": {"kind": "product", "n": 1, "vertices": [{"id": 0, "label": ["t", [1, 1]]},
+                                                        {"id": 1, "label": [1, [1, 1]]}],
+                "edges": [[0, 1]]}}),
     ],
     ids=["vertex-without-id", "hex-scalar-label", "one-element-edge", "colors-as-list",
          "negative-colour", "non-integer-order-entry", "undecodable-bytes",
@@ -158,7 +169,8 @@ _PAIR_GRAPH = {"kind": "plain", "vertices": [{"id": 0, "label": 0}, {"id": 1, "l
          "infinite-edge-endpoint",
          "fractional-order-entry", "fractional-colour", "fractional-coloring-n",
          "fractional-witness-order-entry", "hexpath-file-and-random",
-         "witness-order-and-random"],
+         "witness-order-and-random", "hex-string-n", "hex-n-mismatch", "star-a-mismatch",
+         "product-without-a"],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, args, files):
     paths = {}
@@ -207,13 +219,16 @@ def test_solve_budget_gate(tmp_path):
 
 
 def test_solve_order_cap(tmp_path):
-    path = tmp_path / "k5.json"
-    path.write_text(graph_to_json(complete_graph(5)))
+    # qn = 2 while the edge count allows one queue; the search improves
+    # 4 -> 3 -> 2 over three evaluated orders
+    path = tmp_path / "cube.json"
+    path.write_text(graph_to_json(cube_graph()))
     proc = run_cli("solve", str(path), "--kind", "queue", "--max-orders", "2")
     assert proc.returncode == 3
     doc = json.loads(proc.stderr)
     assert doc["error"] == "budget-exceeded"
     assert doc["lower"] <= doc["upper"]
+    assert doc["orders_scanned"] == 2
 
 
 def test_solve_layout_file(tmp_path):

@@ -88,7 +88,7 @@ def test_far_boundary_rejects_bad_sets():
         far_boundary(3, [(3, 3)])  # contains the far corner
     with pytest.raises(InvalidParameterError):
         far_boundary(3, [])
-    for outside in ((4, 1), (0, 1), (3, 4)):
+    for outside in ((4, 1), (0, 1), (3, 4), (1.5, 1), (1, 2.0), (1, 2, 3), 5):
         with pytest.raises(InvalidParameterError):
             far_boundary(3, [outside])
 

@@ -26,6 +26,7 @@ from linlay import (
     product_queue_layout,
     verify_layout,
 )
+from linlay.layouts import largest_crossing, largest_rainbow, spans
 
 from oracles import (
     brute_min_colors,
@@ -100,6 +101,23 @@ def test_is_pairwise_crossing_cases():
     assert is_pairwise_crossing(o, [(0, 2), (1, 3)])
     assert not is_pairwise_crossing(o, [(0, 2), (1, 3), (2, 4)])  # shares position 2
     assert not is_pairwise_crossing(o, [(0, 3), (1, 2)])
+
+
+@pytest.mark.parametrize("size, pred", [(largest_crossing, oracle_crosses),
+                                        (largest_rainbow, oracle_nests)])
+def test_largest_crossing_and_rainbow_match_subset_scan(size, pred):
+    rng = Random(73)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5][:9]
+        seq = list(range(n))
+        rng.shuffle(seq)
+        pos = positions(seq)
+        best = max(
+            r for r in range(len(edges) + 1) for subset in combinations(edges, r)
+            if all(pred(pos, e, f) for e, f in combinations(subset, 2))
+        )
+        assert size(spans(order_of(seq), edges)) == best
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +223,18 @@ def test_stack_min_interleaved_cycle():
     g = plain_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     k, _ = min_stack_colors_for_order(g, order_of([0, 2, 1, 3]))
     assert k == 2
+
+
+def test_stack_min_improves_on_greedy_colouring():
+    # DSATUR colours this order's conflict graph with 4 stacks; the search
+    # finds 3, which its largest crossing set proves optimal
+    edges = [(0, 2), (0, 4), (0, 7), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5),
+             (2, 7), (3, 6), (4, 7), (5, 7), (6, 7)]
+    seq = [5, 1, 3, 7, 0, 2, 4, 6]
+    g = plain_graph(8, edges)
+    k, coloring = min_stack_colors_for_order(g, order_of(seq))
+    assert k == brute_min_colors(edges, seq, "stack") == 3
+    assert verify_layout(g, Layout("stack", order_of(seq), coloring)).valid
 
 
 def test_stack_min_respects_edge_limit():

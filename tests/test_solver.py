@@ -9,6 +9,7 @@ from linlay import (
     SolveBudget,
     make_hex_dual,
     make_star,
+    make_star_hex_product,
     min_queue_colors_for_order,
     min_stack_colors_for_order,
     plain_graph,
@@ -16,13 +17,18 @@ from linlay import (
     stack_number,
     verify_layout,
 )
+from linlay.solve import density_floor
 
 from oracles import (
     brute_layout_number,
     brute_min_colors,
+    complete_bipartite,
     complete_graph,
+    cube_graph,
     nonisomorphic_graphs,
     random_tree,
+    scan_layout_number,
+    square_grid,
 )
 
 
@@ -145,11 +151,43 @@ def test_budget_vertex_gate():
 
 
 def test_budget_order_cap_returns_bounds():
-    g = complete_graph(5)
+    # K_{3,3} is nonplanar, so sn = 3 while its edge count allows one stack;
+    # the search evaluates 37 orders
+    g = complete_bipartite(3, 3)
+    assert density_floor("stack", 6, 9) == 1
     result = stack_number(g, SolveBudget(max_orders=3))
     assert not result.exact
     assert result.lower_bound <= result.k
     assert verify_layout(g, result.layout).valid
+
+
+def test_prefix_search_matches_full_scan():
+    rng = Random(2026)
+    graphs = [make_hex_dual(2), make_star_hex_product(1, 2), complete_bipartite(2, 3),
+              square_grid(3), cube_graph()]
+    # fewer of the larger graphs, whose full scans are slow
+    for n, count in ((2, 12), (3, 20), (4, 32), (5, 32), (6, 32), (7, 16), (8, 6)):
+        for i in range(count):
+            density = (0.2, 0.4, 0.6, 0.8)[i % 4]
+            graphs.append(plain_graph(n, [e for e in combinations(range(n), 2)
+                                          if rng.random() < density]))
+    assert len(graphs) >= 150
+    for g in graphs:
+        for solver, kind in ((stack_number, "stack"), (queue_number, "queue")):
+            result = solver(g)
+            assert result.exact
+            got = (result.k, result.layout.order.sequence, result.layout.coloring.colors)
+            assert got == scan_layout_number(g, kind), (kind, g.vertex_count, sorted(g.edges))
+
+
+def test_density_floor_is_a_lower_bound():
+    for n, edges in nonisomorphic_graphs(5):
+        for kind in ("stack", "queue"):
+            assert density_floor(kind, n, len(edges)) <= brute_layout_number(n, edges, kind)
+    for n in range(4, 11):
+        m = n * (n - 1) // 2
+        assert density_floor("stack", n, m) == (n + 1) // 2
+        assert density_floor("queue", n, m) == n // 2
 
 
 def test_reversal_symmetry_skip_is_sound():
