@@ -4,11 +4,11 @@ A k-stack layout forbids two same-colour edges from crossing; a k-queue
 layout forbids them from nesting.  Both are questions about edge spans,
 the (left, right) positions of an edge's ends: ``spans`` computes them and
 ``spans_cross`` / ``spans_nest`` answer them for one pair, and
-``largest_crossing`` / ``largest_rainbow`` size the largest pairwise
-crossing / nested span sets by patience piles.  For a fixed order the queue
-minimum is the largest rainbow; the stack minimum is an exact chromatic
-number of the crossing-conflict graph, solved by branch and bound from the
-largest crossing set up.
+``largest_crossing`` sizes the largest pairwise-crossing span set by
+patience piles.  For a fixed order the queue minimum is the largest
+rainbow (chain of pairwise nested edges), found by patience piles; the
+stack minimum is an exact chromatic number of the crossing-conflict graph,
+solved by branch and bound from the largest crossing set up.
 """
 
 from __future__ import annotations
@@ -360,34 +360,22 @@ def min_stack_colors_for_order(
     return k, coloring
 
 
-def _rainbow_piles(span_list: Sequence[tuple[int, int]]) -> list[int]:
-    # with spans sorted by (left, right), a rainbow is a strictly increasing
-    # run of negated right ends, so a span's patience pile is the length of
-    # the longest rainbow strictly around it
-    by_span = sorted(range(len(span_list)), key=span_list.__getitem__)
-    piles = [0] * len(span_list)
-    for i, p in zip(by_span, patience_piles([-span_list[i][1] for i in by_span])):
-        piles[i] = p
-    return piles
-
-
-def largest_rainbow(span_list: Sequence[tuple[int, int]]) -> int:
-    """Size of the largest pairwise-nested subset of the spans (a rainbow)."""
-    return 1 + max(_rainbow_piles(span_list), default=-1)
-
-
 def min_queue_colors_for_order(g: Graph, order: LinearOrder):
     """Exact minimum number of queues for a fixed order, with a witness.
 
     Equals the largest rainbow, a chain of pairwise nested edges (Heath and
-    Rosenberg); colouring each edge by the length of the longest rainbow
-    strictly around it makes every class nesting-free.  O(m log m).
+    Rosenberg).  With spans sorted by (left, right), a rainbow is a
+    strictly increasing subsequence of negated right ends, so an edge's
+    patience pile is the length of the longest rainbow strictly around it;
+    colouring by pile makes every class nesting-free.  O(m log m).
     """
     if len(order) != g.vertex_count:
         raise InvalidParameterError("order must cover the graph's vertices")
     edges = g.edge_list()
-    piles = _rainbow_piles(spans(order, edges))
-    coloring = EdgeColoring.from_colors({e: piles[i] for i, e in enumerate(edges)})
+    span_list = spans(order, edges)
+    by_span = sorted(range(len(edges)), key=span_list.__getitem__)
+    piles = patience_piles([-span_list[i][1] for i in by_span])
+    coloring = EdgeColoring.from_colors({edges[i]: p for i, p in zip(by_span, piles)})
     return coloring.k, coloring
 
 

@@ -1,36 +1,23 @@
-"""Exact stack and queue numbers of small graphs by a prefix branch and bound.
+"""Exact stack and queue numbers of small graphs by order enumeration.
 
-Vertices are placed left to right, trying children in increasing vertex id,
-so complete orders come out in lexicographic order.  Crossing is invariant
-under rotating and reversing an order, so the stack search pins vertex 0
-first and keeps only orders whose second vertex is below their last;
-nesting survives only reversal, so the queue search keeps only orders whose
-first vertex is below their last.
+Crossing is invariant under rotating and reversing a vertex order, so the
+stack solver fixes vertex 0 in front and drops mirrored orders; nesting
+survives only reversal, so the queue solver halves the search space once.
+Orders are scanned in lexicographic order and the best count is replaced
+only by a strictly smaller one, so the layout returned is the first
+optimal order with the colouring the per-order solver gives it.
 
-A prefix already decides some pairs of edges.  An edge with both ends
-placed has its final span; an edge with one end placed at p is given the
-span (p, n), because its other end lands right of every placed vertex.
-Two such open spans neither cross nor nest, and an open span crosses or
-nests a closed one exactly as it will in every completion.  So the largest
-pairwise-crossing set of the decided spans (a circle-graph clique, Gavril
-1973) bounds the stack count of every completion from below, and their
-largest rainbow bounds its queue count (Heath and Rosenberg 1992).  A
-prefix is pruned once its bound reaches the best count found so far, and
-the best is replaced only by a strictly smaller count, so the search keeps
-the first optimal order of the lexicographic scan, with the colouring the
-per-order solver gives it.
-
-The search stops as soon as the best count reaches the edge-density floor:
+The scan stops as soon as the best count reaches the edge-density floor:
 a k-stack graph on n >= 3 vertices has at most n + k(n - 3) edges (Bernhart
 and Kainen), and a k-queue graph on n >= 2k vertices at most
 2kn - k(2k + 1) (Heath and Rosenberg for k = 1, Dujmovic and Wood in
-general).  The order cap of a budget counts the complete orders evaluated,
-those that reach the per-order solver.
+general).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Optional
 
 from .errors import ResourceLimitError
@@ -42,8 +29,6 @@ from .layouts import (
     Layout,
     LinearOrder,
     identity_order,
-    largest_crossing,
-    largest_rainbow,
     min_queue_colors_for_order,
     min_stack_colors_for_order,
     verify_layout,
@@ -85,74 +70,22 @@ def _trivial_result(g: Graph, kind: str) -> SolveResult:
     return SolveResult(coloring.k, layout, True, 0, coloring.k)
 
 
-class _PrefixSearch:
-    """Depth-first search over vertex orders; see the module docstring."""
+def _stack_orders(n: int):
+    if n <= 2:
+        yield tuple(range(n))
+        return
+    for rest in permutations(range(1, n)):
+        if rest[0] < rest[-1]:
+            yield (0, *rest)
 
-    def __init__(self, g: Graph, kind: str, floor: int, max_orders: Optional[int]):
-        n = g.vertex_count
-        self.g, self.kind, self.floor, self.max_orders = g, kind, floor, max_orders
-        self.bound = largest_crossing if kind == STACK else largest_rainbow
-        # complete orders keep seq[anchor] < seq[-1] unless the anchor is last
-        self.anchor = 1 if kind == STACK else 0
-        self.seq: list[int] = []
-        self.pos = [-1] * n
-        self.unplaced_nbrs = [g.degree(v) for v in range(n)]
-        self.closed: list[tuple[int, int]] = []  # spans of edges with both ends placed
-        self.best_k: Optional[int] = None
-        self.best_layout: Optional[Layout] = None
-        self.evaluated = 0
-        self.capped = False
 
-    def extend(self) -> bool:
-        """Search every completion of the prefix; False stops the search."""
-        seq, pos, n = self.seq, self.pos, len(self.pos)
-        depth = len(seq)
-        if depth == n:
-            return self._evaluate()
-        if depth > self.anchor and all(pos[w] >= 0 for w in range(seq[self.anchor] + 1, n)):
-            return True
-        # with one vertex left the open spans are its edges' final spans up
-        # to the common right end, so complete orders need no second bound
-        if self.best_k is not None and self.closed:
-            open_spans = [(p, n) for p, u in enumerate(seq) if self.unplaced_nbrs[u]]
-            if self.bound(self.closed + open_spans) >= self.best_k:
-                return True
-        candidates = (0,) if self.kind == STACK and depth == 0 else range(n)
-        for v in candidates:
-            if pos[v] >= 0:
-                continue
-            mark = len(self.closed)
-            for w in self.g.adjacency[v]:
-                self.unplaced_nbrs[w] -= 1
-                if pos[w] >= 0:
-                    self.closed.append((pos[w], depth))
-            pos[v] = depth
-            seq.append(v)
-            go = self.extend()
-            seq.pop()
-            pos[v] = -1
-            del self.closed[mark:]
-            for w in self.g.adjacency[v]:
-                self.unplaced_nbrs[w] += 1
-            if not go:
-                return False
-        return True
-
-    def _evaluate(self) -> bool:
-        if self.max_orders is not None and self.evaluated >= self.max_orders:
-            self.capped = True
-            return False
-        self.evaluated += 1
-        g, order = self.g, LinearOrder.from_sequence(self.seq)
-        if self.kind == STACK:
-            k, coloring = min_stack_colors_for_order(
-                g, order, max_edges=len(g.edges), _cutoff=self.best_k
-            )
-        else:
-            k, coloring = min_queue_colors_for_order(g, order)
-        if k is not None and (self.best_k is None or k < self.best_k):
-            self.best_k, self.best_layout = k, Layout(self.kind, order, coloring)
-        return self.best_k > self.floor
+def _queue_orders(n: int):
+    if n <= 1:
+        yield tuple(range(n))
+        return
+    for perm in permutations(range(n)):
+        if perm[0] < perm[-1]:
+            yield perm
 
 
 def _solve(g: Graph, budget: SolveBudget, kind: str) -> SolveResult:
@@ -166,9 +99,33 @@ def _solve(g: Graph, budget: SolveBudget, kind: str) -> SolveResult:
     if not g.edges:
         return _trivial_result(g, kind)
 
-    search = _PrefixSearch(g, kind, floor, budget.max_orders)
-    search.extend()
-    best_k, best_layout, exact = search.best_k, search.best_layout, not search.capped
+    best_k: Optional[int] = None
+    best_layout: Optional[Layout] = None
+    scanned = 0
+    exact = True
+    orders = _stack_orders(g.vertex_count) if kind == STACK else _queue_orders(g.vertex_count)
+    for seq in orders:
+        if budget.max_orders is not None and scanned >= budget.max_orders:
+            exact = False
+            break
+        scanned += 1
+        order = LinearOrder.from_sequence(seq)
+        if kind == STACK:
+            k, coloring = min_stack_colors_for_order(
+                g, order, max_edges=len(g.edges), _cutoff=best_k
+            )
+            if k is None:
+                continue
+        else:
+            k, coloring = min_queue_colors_for_order(g, order)
+            if best_k is not None and k >= best_k:
+                continue
+        if best_k is None or k < best_k:
+            best_k = k
+            best_layout = Layout(kind, order, coloring)
+            if best_k <= floor:
+                break
+
     if best_layout is None:
         exact = False
         order = identity_order(g.vertex_count)
@@ -181,12 +138,12 @@ def _solve(g: Graph, budget: SolveBudget, kind: str) -> SolveResult:
     report = verify_layout(g, best_layout)
     if not report.valid:
         raise AssertionError("solver produced an invalid layout")
-    return SolveResult(best_k, best_layout, exact, search.evaluated, best_k if exact else floor)
+    return SolveResult(best_k, best_layout, exact, scanned, best_k if exact else floor)
 
 
 def stack_number(g: Graph, budget: SolveBudget = SolveBudget()) -> SolveResult:
-    """Exact sn(g) with an optimal layout (the first in lexicographic order
-    among the orders searched), within the budget."""
+    """Exact sn(g) with an optimal layout (first found in lexicographic
+    order scan), within the budget."""
     return _solve(g, budget, STACK)
 
 

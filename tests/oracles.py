@@ -153,8 +153,9 @@ def scan_layout_number(g, kind):
     Stack orders pin vertex 0 first and keep rest[0] < rest[-1]; queue
     orders keep perm[0] < perm[-1].  Unlike the rest of this module it
     calls the library's per-order minima (the stack one with the best count
-    so far as its cutoff), so that it checks the solver's search, including
-    which optimal order and colouring it returns.  Returns
+    so far as its cutoff), and it stops only at k = 1, so that it checks
+    the solver's early stop at the density floor, including which optimal
+    order and colouring it returns.  Returns
     (k, order sequence, colour dict).
     """
     n = g.vertex_count

@@ -219,8 +219,8 @@ def test_solve_budget_gate(tmp_path):
 
 
 def test_solve_order_cap(tmp_path):
-    # qn = 2 while the edge count allows one queue; the search improves
-    # 4 -> 3 -> 2 over three evaluated orders
+    # qn = 2 while the edge count allows one queue, so the scan cannot
+    # stop at the floor and the cap binds
     path = tmp_path / "cube.json"
     path.write_text(graph_to_json(cube_graph()))
     proc = run_cli("solve", str(path), "--kind", "queue", "--max-orders", "2")

@@ -26,7 +26,7 @@ from linlay import (
     product_queue_layout,
     verify_layout,
 )
-from linlay.layouts import largest_crossing, largest_rainbow, spans
+from linlay.layouts import largest_crossing, spans
 
 from oracles import (
     brute_min_colors,
@@ -103,9 +103,7 @@ def test_is_pairwise_crossing_cases():
     assert not is_pairwise_crossing(o, [(0, 3), (1, 2)])
 
 
-@pytest.mark.parametrize("size, pred", [(largest_crossing, oracle_crosses),
-                                        (largest_rainbow, oracle_nests)])
-def test_largest_crossing_and_rainbow_match_subset_scan(size, pred):
+def test_largest_crossing_matches_subset_scan():
     rng = Random(73)
     for _ in range(300):
         n = rng.randint(2, 7)
@@ -115,9 +113,9 @@ def test_largest_crossing_and_rainbow_match_subset_scan(size, pred):
         pos = positions(seq)
         best = max(
             r for r in range(len(edges) + 1) for subset in combinations(edges, r)
-            if all(pred(pos, e, f) for e, f in combinations(subset, 2))
+            if all(oracle_crosses(pos, e, f) for e, f in combinations(subset, 2))
         )
-        assert size(spans(order_of(seq), edges)) == best
+        assert largest_crossing(spans(order_of(seq), edges)) == best
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_budget_vertex_gate():
 
 def test_budget_order_cap_returns_bounds():
     # K_{3,3} is nonplanar, so sn = 3 while its edge count allows one stack;
-    # the search evaluates 37 orders
+    # the scan cannot stop at the floor and runs through all 60 orders
     g = complete_bipartite(3, 3)
     assert density_floor("stack", 6, 9) == 1
     result = stack_number(g, SolveBudget(max_orders=3))
@@ -161,7 +161,17 @@ def test_budget_order_cap_returns_bounds():
     assert verify_layout(g, result.layout).valid
 
 
-def test_prefix_search_matches_full_scan():
+def test_long_path_stops_at_the_floor():
+    # the identity order meets the floor, so a raised vertex budget still
+    # ends after one order
+    g = plain_graph(1200, [(v, v + 1) for v in range(1199)])
+    for solver in (stack_number, queue_number):
+        result = solver(g, SolveBudget(max_vertices=2000))
+        assert (result.k, result.exact, result.orders_scanned) == (1, True, 1)
+        assert verify_layout(g, result.layout).valid
+
+
+def test_floor_stop_matches_full_scan():
     rng = Random(2026)
     graphs = [make_hex_dual(2), make_star_hex_product(1, 2), complete_bipartite(2, 3),
               square_grid(3), cube_graph()]
