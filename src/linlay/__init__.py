@@ -62,7 +62,6 @@ from .poset import (
     Selection,
     chain_or_antichain,
     classify_pair,
-    find_monochromatic_clique,
     ramsey_upper_bound,
 )
 from .queuelayouts import (

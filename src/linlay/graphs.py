@@ -93,9 +93,19 @@ def hex_coord(vid: int, n: int) -> GridCoord:
     return GridCoord(vid % n + 1, vid // n + 1)
 
 
-def _hex_adjacent(p: GridCoord, q: GridCoord) -> bool:
-    da, db = p.a - q.a, p.b - q.b
-    return abs(da) + abs(db) == 1 or (da == db and abs(da) == 1)
+@lru_cache(maxsize=None)
+def hex_neighbours(n: int) -> tuple[tuple[int, ...], ...]:
+    """Ascending neighbour ids of each cell of the dual hex grid on {1..n}^2:
+    v-n-1, v-n, v-1, v+1, v+n, v+n+1 in row-major ids, minus those past a side."""
+    if n < 1:
+        raise InvalidParameterError("n must be a positive integer")
+    cells = n * n
+    table = [(v - n - 1, v - n, v - 1, v + 1, v + n, v + n + 1) for v in range(cells)]
+    for v in {*range(n), *range(cells - n, cells), *range(0, cells, n), *range(n - 1, cells, n)}:
+        left, right, down, up = v % n > 0, v % n < n - 1, v >= n, v < cells - n
+        inside = (down and left, down, left, right, up, up and right)
+        table[v] = tuple(w for w, keep in zip(table[v], inside) if keep)
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -105,20 +115,10 @@ def make_hex_dual(n: int) -> Graph:
     Edges join unit horizontal and vertical steps plus the (+1,+1)
     diagonal, for 3n^2 - 4n + 1 edges in total.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be a positive integer")
-    labels = [hex_coord(i, n) for i in range(n * n)]
-    edges = []
-    for b in range(1, n + 1):
-        for a in range(1, n + 1):
-            i = hex_vertex_id(GridCoord(a, b), n)
-            if a < n:
-                edges.append((i, i + 1))
-            if b < n:
-                edges.append((i, i + n))
-            if a < n and b < n:
-                edges.append((i, i + n + 1))
-    return _make_graph("hex", labels, edges, hex_n=n)
+    table = hex_neighbours(n)
+    labels = tuple(hex_coord(v, n) for v in range(n * n))
+    edges = frozenset((v, w) for v, nbrs in enumerate(table) for w in nbrs if v < w)
+    return Graph("hex", n * n, labels, edges, table, hex_n=n)
 
 
 @lru_cache(maxsize=None)
@@ -164,6 +164,19 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 @lru_cache(maxsize=None)
 def make_star_hex_product(a: int, n: int) -> Graph:
     return cartesian_product(make_star(a), make_hex_dual(n))
+
+
+def star_hex_product_has_edge(a: int, n: int, u: int, v: int) -> bool:
+    """Whether uv is an edge of ``make_star_hex_product(a, n)``, without
+    building it: a grid edge inside one star part, or a star edge from the
+    hub's copy of a cell to a leaf's copy of the same cell."""
+    cells = n * n
+    if not 0 <= min(u, v) < max(u, v) < (a + 1) * cells:
+        return False
+    (x, y), (x2, y2) = divmod(min(u, v), cells), divmod(max(u, v), cells)
+    if x == x2:
+        return y2 in hex_neighbours(n)[y]
+    return y == y2 and x == 0
 
 
 def connected_components(g: Graph, restrict: Optional[Iterable[int]] = None) -> list[frozenset[int]]:

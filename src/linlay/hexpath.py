@@ -27,8 +27,7 @@ from random import Random
 from typing import FrozenSet, Iterable, Optional
 
 from .errors import InternalInvariantError, InvalidParameterError, json_int, load_json
-from .graphs import (GridCoord, connected_components, hex_coord, hex_vertex_id, make_hex_dual,
-                     plain_graph, shortest_path)
+from .graphs import GridCoord, hex_coord, hex_neighbours, hex_vertex_id
 
 RED = "R"
 BLUE = "B"
@@ -71,16 +70,42 @@ class BoundaryStep:
     far_boundary: Optional[FrozenSet[GridCoord]]
 
 
-def _side_ids(n: int):
-    """Row-major ids of the left, right, bottom and top sides."""
-    ids = range(n * n)
-    return [frozenset(side) for side in (ids[::n], ids[n - 1::n], ids[:n], ids[-n:])]
+def _label(nbrs, key) -> tuple[list[int], list[list[int]]]:
+    """Maximal connected pieces of cells with equal ``key``, found by one
+    row-major scan: the piece number of every cell, and each piece's
+    cells in breadth-first order."""
+    label = [-1] * len(key)
+    pieces = []
+    for s in range(len(key)):
+        if label[s] < 0:
+            here, piece, k = key[s], [s], len(pieces)
+            label[s] = k
+            for v in piece:  # grows while it is read
+                for w in nbrs[v]:
+                    if label[w] < 0 and key[w] == here:
+                        label[w] = k
+                        piece.append(w)
+            pieces.append(piece)
+    return label, pieces
+
+
+def _is_connected(nbrs, cells) -> bool:
+    """Whether the nonempty set ``cells`` induces a connected subgraph."""
+    first = next(iter(cells))
+    seen = {first}
+    stack = [first]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w in cells and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(cells)
 
 
 def far_boundary(n: int, x: Iterable[GridCoord]) -> FrozenSet[GridCoord]:
     """Neighbours of the connected set x inside the component of [n,n]
     left after removing x; always induces a connected subgraph."""
-    grid = make_hex_dual(n)
+    nbrs = hex_neighbours(n)
     try:
         cells = [GridCoord(*c) for c in x]
     except TypeError as exc:
@@ -93,49 +118,57 @@ def far_boundary(n: int, x: Iterable[GridCoord]) -> FrozenSet[GridCoord]:
         raise InvalidParameterError("the set must avoid the [n,n] corner")
     if not x_ids:
         raise InvalidParameterError("the set must be nonempty")
-    if len(connected_components(grid, x_ids)) != 1:
+    label, _ = _label(nbrs, [v in x_ids for v in range(n * n)])
+    if len({label[v] for v in x_ids}) != 1:
         raise InvalidParameterError("the set must induce a connected subgraph")
-    rest = connected_components(grid, set(range(n * n)) - x_ids)
-    far_side = next(piece for piece in rest if corner in piece)
-    boundary = {w for v in x_ids for w in grid.adjacency[v] if w in far_side}
+    boundary = {w for v in x_ids for w in nbrs[v] if label[w] == label[corner]}
     # all bounded faces are triangles, which forces the boundary connected
-    if len(connected_components(grid, boundary)) != 1:
+    if not _is_connected(nbrs, boundary):
         raise InternalInvariantError("far boundary split into several pieces")
     return frozenset(hex_coord(v, n) for v in boundary)
 
 
-def _walk(coloring: GridColoring) -> list[tuple[frozenset[int], Optional[frozenset[int]]]]:
-    """The component walk on vertex ids: (component, far boundary) per step,
-    with no far boundary on the terminal step."""
+def _walk(coloring: GridColoring) -> tuple[list[int], list[tuple[list[int], Optional[frozenset[int]]]]]:
+    """The component walk on row-major ids: the component number of every
+    cell, and (component, far boundary) per step, with no far boundary on
+    the terminal step."""
     n = coloring.n
-    grid = make_hex_dual(n)
-    red = {v for v in range(n * n) if coloring.rows[v // n][v % n] == RED}
-    blue = set(range(n * n)) - red
-    components = connected_components(grid, red) + connected_components(grid, blue)
-    label = {v: i for i, component in enumerate(components) for v in component}
-    links = {(label[u], label[v]) for u, v in grid.edges if label[u] != label[v]}
-    tree = plain_graph(len(components), links)
-    if len(tree.edges) != len(components) - 1:
+    nbrs = hex_neighbours(n)
+    label, components = _label(nbrs, [c for row in coloring.rows for c in row])
+    links = {(label[v], label[w]) for v in range(n * n) for w in nbrs[v]
+             if label[v] < label[w]}
+    if len(links) != len(components) - 1:
         raise InternalInvariantError("monochromatic components do not form a tree")
-    left, right, bottom, top = _side_ids(n)
-    far = right | top
-    route = shortest_path(tree, label[0], label[n * n - 1])
+    tree = [[] for _ in components]
+    for p, q in links:
+        tree[p].append(q)
+        tree[q].append(p)
+    # the tree path from the component of [1,1] to that of [n,n]
+    goal = label[n * n - 1]
+    toward_goal = {goal: None}
+    queue = [goal]
+    for p in queue:
+        for q in tree[p]:
+            if q not in toward_goal:
+                toward_goal[q] = p
+                queue.append(q)
+    route = [label[0]]
+    while route[-1] != goal:
+        route.append(toward_goal[route[-1]])
     walk = []
     for here, beyond in zip(route, route[1:]):
         component = components[here]
-        if component & far:
+        if any(v % n == n - 1 or v >= n * n - n for v in component):  # right or top side
             break
-        boundary = frozenset(
-            w for v in component for w in grid.adjacency[v] if label[w] == beyond
-        )
-        if not (boundary & left and boundary & bottom):
+        boundary = frozenset(w for v in component for w in nbrs[v] if label[w] == beyond)
+        if not (any(w % n == 0 for w in boundary) and any(w < n for w in boundary)):
             raise InternalInvariantError("far boundary misses the left or bottom side")
         # all bounded faces are triangles, which forces the boundary connected
-        if len(connected_components(grid, boundary)) != 1:
+        if not _is_connected(nbrs, boundary):
             raise InternalInvariantError("far boundary split into several pieces")
         walk.append((component, boundary))
     walk.append((components[route[len(walk)]], None))
-    return walk
+    return label, walk
 
 
 def boundary_sequence(coloring: GridColoring) -> list[BoundaryStep]:
@@ -150,10 +183,10 @@ def boundary_sequence(coloring: GridColoring) -> list[BoundaryStep]:
     return [
         BoundaryStep(
             as_coords(component),
-            coloring.color(hex_coord(next(iter(component)), n)),
+            coloring.rows[component[0] // n][component[0] % n],
             None if boundary is None else as_coords(boundary),
         )
-        for component, boundary in _walk(coloring)
+        for component, boundary in _walk(coloring)[1]
     ]
 
 
@@ -163,21 +196,35 @@ def find_monochromatic_path(coloring: GridColoring) -> list[GridCoord]:
     Inside the terminal component the path runs bottom-to-top when that
     component touches the top side (preferred), else left-to-right; among
     candidate endpoints the lexicographically smallest coordinate wins.
+    The path is a breadth-first shortest path that scans neighbours in
+    ascending id order, as ``graphs.shortest_path`` does on the grid.
     """
     n = coloring.n
-    terminal, _ = _walk(coloring)[-1]
-    grid = make_hex_dual(n)
-    left, right, bottom, top = _side_ids(n)
-    if terminal & top:
-        sources, targets = terminal & bottom, terminal & top
+    label, walk = _walk(coloring)
+    terminal = walk[-1][0]
+    # on one side of the grid, the smallest id is the smallest coordinate
+    if any(v >= n * n - n for v in terminal):
+        start = min(v for v in terminal if v < n)
+        goal = min(v for v in terminal if v >= n * n - n)
     else:
-        sources, targets = terminal & left, terminal & right
-    start = min(sources, key=lambda v: hex_coord(v, n))
-    goal = min(targets, key=lambda v: hex_coord(v, n))
-    ids = shortest_path(grid, start, goal, restrict=terminal)
-    if ids is None or len(ids) < n:
+        start = min(v for v in terminal if v % n == 0)
+        goal = min(v for v in terminal if v % n == n - 1)
+    nbrs, inside = hex_neighbours(n), label[start]
+    prev = {start: None}
+    queue = [start]
+    for v in queue:
+        if v == goal:
+            break
+        for w in nbrs[v]:
+            if label[w] == inside and w not in prev:
+                prev[w] = v
+                queue.append(w)
+    ids = [goal] if goal in prev else []
+    while ids and prev[ids[-1]] is not None:
+        ids.append(prev[ids[-1]])
+    if len(ids) < n:
         raise InternalInvariantError("terminal component failed to span the grid")
-    return [hex_coord(v, n) for v in ids]
+    return [hex_coord(v, n) for v in reversed(ids)]
 
 
 # ---------------------------------------------------------------------------

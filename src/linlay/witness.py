@@ -24,7 +24,7 @@ from .errors import (
     InternalInvariantError,
     InvalidParameterError,
 )
-from .graphs import hex_vertex_id, make_star_hex_product, normalize_edge
+from .graphs import hex_vertex_id, normalize_edge, star_hex_product_has_edge
 from .hexpath import BLUE, RED, GridColoring, find_monochromatic_path
 from .layouts import LinearOrder, is_pairwise_crossing, spans_cross
 from .monotone import INCREASING, consistent_leaf_family
@@ -252,9 +252,8 @@ def extract_crossing_witness(
         else:
             label, edges = case_crossing(fam, picked)
 
-    product = make_star_hex_product(a, n)
     for e in edges:
-        if e not in product.edges:
+        if not star_hex_product_has_edge(a, n, *e):
             raise InternalInvariantError(f"witness edge {e} missing from the product graph")
 
     trace_doc = None

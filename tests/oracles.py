@@ -3,14 +3,19 @@
 Everything here is deliberately naive: positions are recomputed from raw
 sequences, predicates are inlined, and minima come from exhaustive
 enumeration or plain backtracking, so the oracles share no machinery with
-the library paths they check.  The one exception, ``scan_layout_number``,
-says why in its docstring.
+the library paths they check.  The two exceptions, ``scan_layout_number``
+and ``all_pairs_chain_or_antichain``, say why in their docstrings.
 """
 
 from itertools import combinations, permutations
 
 from linlay import (
+    FamilyTooSmallError,
+    InvalidParameterError,
     LinearOrder,
+    PreconditionViolationError,
+    Selection,
+    classify_pair,
     connected_components,
     hex_coord,
     make_hex_dual,
@@ -18,6 +23,7 @@ from linlay import (
     min_stack_colors_for_order,
     plain_graph,
 )
+from linlay.poset import NEITHER, SEPARATED_GT, SEPARATED_LT
 
 
 def complete_graph(n):
@@ -278,3 +284,95 @@ def nonisomorphic_graphs(max_vertices):
                 seen.add(canon)
                 found.append((n, edges))
     return found
+
+
+def all_pairs_chain_or_antichain(fam, c, d):
+    """The chain/antichain dichotomy from the full pair classification:
+    every pair must be separated or crossing, and each path's depth is one
+    more than the deepest path separated after it, over all b^2 pairs.
+
+    It classifies pairs with the library's ``classify_pair``, which the
+    classification tests check on their own, so that it checks only how
+    ``chain_or_antichain`` finds depths, chains and layers: the same
+    Selection, or the same exception with the same sizes.
+    """
+    b = len(fam.paths)
+    if b == 0:
+        raise FamilyTooSmallError(0, 0, c, d)
+    after = [[False] * b for _ in range(b)]
+    for i, j in combinations(range(b), 2):
+        cls = classify_pair(fam, i, j)
+        if cls == NEITHER:
+            raise PreconditionViolationError(f"paths {i} and {j} are neither separated nor crossing")
+        after[i][j] = cls == SEPARATED_LT
+        after[j][i] = cls == SEPARATED_GT
+    depth = [1] * b
+    for i in reversed(sorted(range(b), key=lambda i: fam.span(i)[0])):
+        for j in range(b):
+            if after[i][j] and depth[j] + 1 > depth[i]:
+                depth[i] = depth[j] + 1
+    longest = max(depth)
+    leaf = lambda i: (fam.leaf_of(i), i)
+    if longest >= c:
+        chain = [min((i for i in range(b) if depth[i] == longest), key=leaf)]
+        while depth[chain[-1]] > 1:
+            cur = chain[-1]
+            chain.append(min((j for j in range(b) if after[cur][j] and depth[j] == depth[cur] - 1),
+                             key=leaf))
+        return Selection("separated", tuple(chain))
+    layers = {}
+    for i in range(b):
+        layers.setdefault(depth[i], []).append(i)
+    best = max(layers, key=lambda dep: (len(layers[dep]), -dep))
+    if len(layers[best]) >= d:
+        return Selection("crossing", tuple(sorted(layers[best])))
+    raise FamilyTooSmallError(longest, len(layers[best]), c, d)
+
+
+def find_monochromatic_clique(pair_colors, r, s):
+    """Exhaustive search for a red r-clique or blue s-clique in a
+    2-coloured complete graph given as {(u, v): "red"|"blue"} with u < v.
+
+    Returns None when neither exists, which is legal below the Ramsey
+    threshold.  Red is searched first; vertices are tried in ascending
+    order, so the result is deterministic.
+    """
+    if r < 1 or s < 1:
+        raise InvalidParameterError("r and s must be positive")
+    vertices = sorted({v for e in pair_colors for v in e})
+    b = (max(vertices) + 1) if vertices else 0
+    expected = b * (b - 1) // 2
+    if vertices != list(range(b)) or len(pair_colors) != expected:
+        raise InvalidParameterError("pair colouring must cover a complete graph on 0..b-1")
+    neighbours = {"red": [set() for _ in range(b)], "blue": [set() for _ in range(b)]}
+    for (u, v), col in pair_colors.items():
+        if col not in ("red", "blue"):
+            raise InvalidParameterError(f"unknown colour {col!r}")
+        neighbours[col][u].add(v)
+        neighbours[col][v].add(u)
+
+    def search(colour, size):
+        if size == 1:
+            return (0,) if b else None
+        adj = neighbours[colour]
+
+        def extend(clique, cands):
+            if len(clique) == size:
+                return tuple(clique)
+            if len(clique) + len(cands) < size:
+                return None
+            for v in sorted(cands):
+                found = extend(clique + [v], {w for w in cands if w > v and w in adj[v]})
+                if found:
+                    return found
+            return None
+
+        return extend([], set(range(b)))
+
+    hit = search("red", r)
+    if hit:
+        return "red", hit
+    hit = search("blue", s)
+    if hit:
+        return "blue", hit
+    return None

@@ -23,7 +23,6 @@ from linlay import (
     chain_or_antichain,
     classify_pair,
     extract_crossing_witness,
-    find_monochromatic_clique,
     find_monochromatic_path,
     identity_order,
     is_pairwise_crossing,
@@ -45,6 +44,7 @@ from oracles import (
     brute_layout_number,
     complete_graph,
     dp_longest_monotone,
+    find_monochromatic_clique,
     longest_monochromatic_path,
     random_tree,
 )

@@ -20,6 +20,7 @@ from linlay import (
     plain_graph,
     shortest_path,
 )
+from linlay.graphs import star_hex_product_has_edge
 
 from oracles import complete_graph
 
@@ -140,6 +141,17 @@ def test_product_star_hex_counts():
     assert g.vertex_count == 54
     assert len(g.edges) == 141  # 6*16 + 9*5
     assert isinstance(g.labels[0], ProductVertex)
+
+
+def test_product_edge_check_matches_the_built_product():
+    for a in range(1, 4):
+        for n in range(1, 4):
+            edges = make_star_hex_product(a, n).edges
+            size = (a + 1) * n * n
+            for u in range(-1, size + 1):
+                for v in range(-1, size + 1):
+                    expected = (min(u, v), max(u, v)) in edges
+                    assert star_hex_product_has_edge(a, n, u, v) == expected, (a, n, u, v)
 
 
 def test_product_identity_factor():

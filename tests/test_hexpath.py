@@ -15,10 +15,13 @@ from linlay import (
     coloring_to_json,
     far_boundary,
     find_monochromatic_path,
+    hex_coord,
     make_hex_dual,
     plain_graph,
     random_coloring,
+    shortest_path,
 )
+from linlay.graphs import hex_neighbours
 
 from oracles import longest_monochromatic_path
 
@@ -218,13 +221,45 @@ def test_component_cycle_raises(monkeypatch):
     # without the diagonals the 2 x 2 grid is a 4-cycle, and a checkerboard
     # splits it into four singleton components joined in a cycle
     square = plain_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    monkeypatch.setattr(linlay.hexpath, "make_hex_dual", lambda n: square)
+    monkeypatch.setattr(linlay.hexpath, "hex_neighbours", lambda n: square.adjacency)
     with pytest.raises(InternalInvariantError, match="tree"):
         boundary_sequence(GridColoring(2, (("R", "B"), ("B", "R"))))
 
 
 # ---------------------------------------------------------------------------
 # path extraction
+
+def test_neighbour_table_matches_the_hex_graph():
+    steps = {(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)}
+    for n in range(1, 13):
+        table = hex_neighbours(n)
+        assert table == make_hex_dual(n).adjacency
+        assert sum(map(len, table)) == 2 * (3 * n * n - 4 * n + 1)
+        for v, row in enumerate(table):
+            expected = [w for w in range(n * n) if (w % n - v % n, w // n - v // n) in steps]
+            assert list(row) == expected
+
+
+def test_path_is_the_graph_bfs_path_across_the_terminal_component():
+    # the path BFS runs on the neighbour table; the library BFS on the
+    # graph must give the same path, tie-breaks included
+    rng = Random(1729)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        red = rng.uniform(0.1, 0.9)
+        cells = [rng.random() < red for _ in range(n * n)]
+        coloring = GridColoring.from_function(
+            n, lambda c: "R" if cells[(c.b - 1) * n + c.a - 1] else "B")
+        terminal = {(c.b - 1) * n + c.a - 1 for c in boundary_sequence(coloring)[-1].component}
+        if any(v >= n * n - n for v in terminal):
+            start = min(v for v in terminal if v < n)
+            goal = min(v for v in terminal if v >= n * n - n)
+        else:
+            start = min(v for v in terminal if v % n == 0)
+            goal = min(v for v in terminal if v % n == n - 1)
+        expected = shortest_path(make_hex_dual(n), start, goal, restrict=terminal)
+        assert find_monochromatic_path(coloring) == [hex_coord(v, n) for v in expected]
+
 
 def test_single_vertex_grid():
     assert find_monochromatic_path(solid(1, "B")) == [GridCoord(1, 1)]

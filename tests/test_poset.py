@@ -3,17 +3,25 @@ from random import Random
 
 import pytest
 
+import linlay.poset
 from linlay import (
+    INCREASING,
     FamilyTooSmallError,
+    GridColoring,
     InvalidParameterError,
     LinearOrder,
     PathFamily,
     PreconditionViolationError,
     chain_or_antichain,
     classify_pair,
-    find_monochromatic_clique,
+    consistent_leaf_family,
+    find_monochromatic_path,
+    hex_vertex_id,
+    product_block_order,
     ramsey_upper_bound,
 )
+
+from oracles import all_pairs_chain_or_antichain, find_monochromatic_clique
 
 
 def family_from_positions(position_rows, leaves=None):
@@ -188,6 +196,72 @@ def test_chain_tie_break_prefers_small_leaves():
     assert sel.kind == "separated"
     leaf_tuple = tuple(fam.leaf_of(i) for i in sel.indices)
     assert leaf_tuple == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# agreement with the all-pairs dichotomy, and no all-pairs work
+
+def outcome(dichotomy, fam, c, d):
+    """The Selection, or the sizes a FamilyTooSmallError reports."""
+    try:
+        return dichotomy(fam, c, d)
+    except FamilyTooSmallError as exc:
+        return exc.longest_chain, exc.largest_antichain, exc.required_c, exc.required_d
+
+
+def witness_family(a, n, order):
+    """The path family that extract_crossing_witness classifies for order."""
+    leaves = consistent_leaf_family(order, a, n)
+    coloring = GridColoring.from_function(
+        n, lambda c: "R" if leaves.direction[c] == INCREASING else "B"
+    )
+    slots = [hex_vertex_id(c, n) for c in find_monochromatic_path(coloring)[:n]]
+    paths = tuple(tuple(u * n * n + s for s in slots) for u in leaves.leaves)
+    return PathFamily(paths, order, leaves.leaves)
+
+
+def test_matches_all_pairs_dichotomy_on_random_families():
+    rng = Random(6006)
+    for trial in range(600):
+        c, d = rng.randint(1, 7), rng.randint(1, 7)
+        threshold = (c - 1) * (d - 1) + 1
+        b = threshold if trial % 3 else rng.randint(1, threshold)
+        fam = uniform_random_family(rng, b, rng.randint(1, 5))
+        if trial % 2:  # leaves out of index order exercise the tie-breaks
+            fam = PathFamily(fam.paths, fam.order, tuple(rng.sample(range(1, 4 * b), b)))
+        expected = outcome(all_pairs_chain_or_antichain, fam, c, d)
+        assert outcome(chain_or_antichain, fam, c, d) == expected
+
+
+@pytest.mark.parametrize("a", [16, 64, 256])
+def test_matches_all_pairs_dichotomy_on_witness_families(a):
+    rng = Random(a)
+    cases = [(4, product_block_order(a, 4))]
+    for n in (2, 3, 4):
+        seq = list(range((a + 1) * n * n))
+        rng.shuffle(seq)
+        cases.append((n, LinearOrder.from_sequence(seq)))
+    for n, order in cases:
+        fam = witness_family(a, n, order)
+        b = len(fam.paths)
+        for c, d in ((1, 1), (2, 8), (3, 3), (b, 2), (b + 1, b), (b + 1, b + 1)):
+            expected = outcome(all_pairs_chain_or_antichain, fam, c, d)
+            assert outcome(chain_or_antichain, fam, c, d) == expected
+
+
+def test_block_family_classifies_only_the_printed_antichain(monkeypatch):
+    fam = witness_family(1024, 4, product_block_order(1024, 4))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return classify_pair(*args)
+
+    monkeypatch.setattr(linlay.poset, "classify_pair", counted)
+    d = 8
+    selection = chain_or_antichain(fam, 2, d)
+    assert selection.kind == "crossing" and len(selection.indices) == 1024
+    assert 0 < len(calls) <= d * (d - 1) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from random import Random
 
 import pytest
 
+import linlay.graphs
+import linlay.witness
 from linlay import (
     InsufficientScale,
     InvalidParameterError,
@@ -268,6 +270,21 @@ def test_trace_artifacts_present():
     assert report.trace["selection"]["kind"] == "separated"
     matrix = report.trace["classification"]
     assert all(matrix[i][i] is None for i in range(len(matrix)))
+
+
+def test_pipeline_checks_edges_without_building_the_product(monkeypatch):
+    def refuse(a, n):
+        raise AssertionError("the product graph was built")
+
+    monkeypatch.setattr(linlay.graphs, "make_star_hex_product", refuse)
+    monkeypatch.setattr(linlay.witness, "make_star_hex_product", refuse, raising=False)
+    report = extract_crossing_witness(1024, 4, product_block_order(1024, 4), 2, 8)
+    assert report.case == "crossing_II" and len(report.edges) == 7
+    rng = Random(77)
+    for a, n, c, d in ((4, 2, 2, 2), (8, 3, 2, 4)):
+        seq = list(range((a + 1) * n * n))
+        rng.shuffle(seq)
+        extract_crossing_witness(a, n, LinearOrder.from_sequence(seq), c, d)
 
 
 def test_pipeline_rejects_bad_arguments():
