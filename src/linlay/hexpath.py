@@ -128,7 +128,7 @@ def far_boundary(n: int, x: Iterable[GridCoord]) -> FrozenSet[GridCoord]:
     return frozenset(hex_coord(v, n) for v in boundary)
 
 
-def _walk(coloring: GridColoring) -> tuple[list[int], list[tuple[list[int], Optional[frozenset[int]]]]]:
+def _walk(coloring: GridColoring) -> tuple[list[int], list[tuple[list[int], Optional[frozenset]]]]:
     """The component walk on row-major ids: the component number of every
     cell, and (component, far boundary) per step, with no far boundary on
     the terminal step."""

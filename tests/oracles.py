@@ -303,7 +303,7 @@ def all_pairs_chain_or_antichain(fam, c, d):
     for i, j in combinations(range(b), 2):
         cls = classify_pair(fam, i, j)
         if cls == NEITHER:
-            raise PreconditionViolationError(f"paths {i} and {j} are neither separated nor crossing")
+            raise PreconditionViolationError(f"paths {i} and {j} are neither")
         after[i][j] = cls == SEPARATED_LT
         after[j][i] = cls == SEPARATED_GT
     depth = [1] * b

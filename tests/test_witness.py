@@ -277,6 +277,7 @@ def test_pipeline_checks_edges_without_building_the_product(monkeypatch):
         raise AssertionError("the product graph was built")
 
     monkeypatch.setattr(linlay.graphs, "make_star_hex_product", refuse)
+    # also catches a copy of the name imported into the witness module
     monkeypatch.setattr(linlay.witness, "make_star_hex_product", refuse, raising=False)
     report = extract_crossing_witness(1024, 4, product_block_order(1024, 4), 2, 8)
     assert report.case == "crossing_II" and len(report.edges) == 7
