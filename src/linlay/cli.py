@@ -83,15 +83,18 @@ def _emit(text: str, output: str | None) -> None:
         print(text)
         return
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".linlay-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text + "\n")
-        os.replace(tmp, output)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".linlay-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text + "\n")
+            os.replace(tmp, output)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {output}: {exc}") from exc
 
 
 def _read(path: str) -> str:

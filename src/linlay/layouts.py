@@ -8,7 +8,8 @@ the (left, right) positions of an edge's ends: ``spans`` computes them and
 patience piles.  For a fixed order the queue minimum is the largest
 rainbow (chain of pairwise nested edges), found by patience piles; the
 stack minimum is an exact chromatic number of the crossing-conflict graph,
-solved by branch and bound from the largest crossing set up.
+found by one iterative DSATUR branch and bound whose first descent is the
+greedy colouring and which stops at the largest crossing set.
 """
 
 from __future__ import annotations
@@ -247,87 +248,59 @@ def _conflict_adjacency(span_list: list) -> list:
     return adj
 
 
-def _dsatur_greedy(adj) -> tuple[int, list[int]]:
-    m = len(adj)
-    colors = [-1] * m
-    neighbour_colors = [set() for _ in range(m)]
-    degree = [len(a) for a in adj]
-    uncoloured = list(range(m))
-    for _ in range(m):
-        v = min(uncoloured, key=lambda u: (-len(neighbour_colors[u]), -degree[u], u))
-        uncoloured.remove(v)
-        c = 0
-        while c in neighbour_colors[v]:
-            c += 1
-        colors[v] = c
-        for w in adj[v]:
-            neighbour_colors[w].add(c)
-    return (1 + max(colors) if colors else 0), colors
+def _exact_coloring(adj, lower: int, best_k: int) -> Optional[list[int]]:
+    """A fewest-colour colouring of a conflict graph that uses fewer than
+    ``best_k`` colours, or None if there is none.
 
-
-def _exact_coloring(adj, lower: int, cutoff: Optional[int] = None):
-    """Exact chromatic number of a conflict graph by DSATUR branch and bound,
-    given a clique size ``lower``; the search ends once it reaches it.
-
-    With a cutoff, only colourings using fewer than ``cutoff`` colours are
-    of interest; (None, None) signals that none exists.
+    DSATUR branch and bound: each step colours the uncoloured vertex with
+    the most distinct neighbour colours (then the highest degree, then the
+    lowest id) and tries its free colours in increasing order, so the first
+    descent is the DSATUR greedy colouring.  Only strictly better colourings
+    replace the best, and the search ends once the clique size ``lower`` is
+    reached.  The choices are kept on an explicit stack of frames
+    (vertex, colours used before it, neighbours its colour saturated).
     """
     m = len(adj)
-    if m == 0:
-        if cutoff is not None and cutoff <= 0:
-            return None, None
-        return 0, []
-    greedy_k, greedy_colors = _dsatur_greedy(adj)
-
-    if cutoff is None or greedy_k < cutoff:
-        best_k, best_colors = greedy_k, list(greedy_colors)
-    else:
-        best_k, best_colors = cutoff, None  # bound only, no witness yet
-
-    if lower < best_k:
-        colors = [-1] * m
-        neighbour_colors = [set() for _ in range(m)]
-
-        def choose():
-            pick, key = -1, None
-            for u in range(m):
-                if colors[u] != -1:
-                    continue
-                k = (-len(neighbour_colors[u]), -len(adj[u]), u)
-                if key is None or k < key:
-                    key, pick = k, u
-            return pick
-
-        def backtrack(used_k: int):
-            nonlocal best_k, best_colors
+    colors = [-1] * m
+    saturation = [set() for _ in range(m)]
+    best = None
+    frames: list[tuple[int, int, list[int]]] = []
+    used = 0
+    while True:
+        v = min((u for u in range(m) if colors[u] == -1), default=-1,
+                key=lambda u: (-len(saturation[u]), -len(adj[u]), u))
+        if v == -1:
+            # strictly better: every colour assigned kept used below best_k
+            best_k, best = used, list(colors)
             if best_k <= lower:
-                return
-            v = choose()
-            if v == -1:
-                if used_k < best_k:
-                    best_k, best_colors = used_k, list(colors)
-                return
-            for c in range(min(used_k + 1, best_k - 1)):
-                if c in neighbour_colors[v] or max(used_k, c + 1) >= best_k:
-                    continue
-                colors[v] = c
-                touched = []
-                for w in adj[v]:
-                    if colors[w] == -1 and c not in neighbour_colors[w]:
-                        neighbour_colors[w].add(c)
-                        touched.append(w)
-                backtrack(max(used_k, c + 1))
-                colors[v] = -1
+                return best
+        else:
+            frames.append((v, used, []))
+        # give the top frame's vertex its next admissible colour, popping
+        # the frames that have none left
+        while frames:
+            v, used, touched = frames[-1]
+            c = colors[v] + 1
+            if colors[v] != -1:
                 for w in touched:
-                    neighbour_colors[w].discard(c)
-                if best_k <= lower:
-                    return
-
-        backtrack(0)
-
-    if best_colors is None:
-        return None, None
-    return best_k, best_colors
+                    saturation[w].discard(colors[v])
+                touched.clear()
+                colors[v] = -1
+            # colours 0..used (at most one new), none reaching best_k
+            top = min(used + 1, best_k - 1) if used < best_k else 0
+            while c < top and c in saturation[v]:
+                c += 1
+            if c < top:
+                colors[v] = c
+                for w in adj[v]:
+                    if colors[w] == -1 and c not in saturation[w]:
+                        saturation[w].add(c)
+                        touched.append(w)
+                used = max(used, c + 1)
+                break
+            frames.pop()
+        else:
+            return best
 
 
 def min_stack_colors_for_order(
@@ -339,7 +312,9 @@ def min_stack_colors_for_order(
     """Exact minimum number of stacks for a fixed order, with a witness.
 
     The crossing-conflict graph is coloured exactly; the instance size is
-    gated by ``max_edges`` because the problem is NP-hard in general.
+    gated by ``max_edges`` because the problem is NP-hard in general.  With
+    a cutoff, only layouts with fewer than ``_cutoff`` stacks are of
+    interest, and (None, None) signals that none exists.
     """
     if len(order) != g.vertex_count:
         raise InvalidParameterError("order must cover the graph's vertices")
@@ -351,13 +326,15 @@ def min_stack_colors_for_order(
         )
     edges = g.edge_list()
     span_list = spans(order, edges)
-    k, colors = _exact_coloring(
-        _conflict_adjacency(span_list), largest_crossing(span_list), cutoff=_cutoff
-    )
-    if k is None:
+    lower = largest_crossing(span_list)
+    best_k = len(edges) + 1 if _cutoff is None else _cutoff
+    if lower >= best_k:
+        return None, None
+    colors = _exact_coloring(_conflict_adjacency(span_list), lower, best_k)
+    if colors is None:
         return None, None
     coloring = EdgeColoring.from_colors({e: colors[i] for i, e in enumerate(edges)})
-    return k, coloring
+    return coloring.k, coloring
 
 
 def min_queue_colors_for_order(g: Graph, order: LinearOrder):
@@ -400,8 +377,13 @@ def layout_from_json_dict(doc: dict) -> Layout:
         order = LinearOrder.from_sequence(json_int(v) for v in doc["order"])
         colors = {}
         for key, c in doc["colors"].items():
-            u, v = key.split("-")
-            colors[normalize_edge(int(u), int(v))] = json_int(c)
+            u, _, v = key.partition("-")
+            if not (key.isascii() and u.isdigit() and v.isdigit()):
+                raise InvalidParameterError(f"edge key {key!r} is not u-v in decimal digits")
+            edge = normalize_edge(int(u), int(v))
+            if edge in colors:
+                raise InvalidParameterError(f"edge {edge} is coloured twice")
+            colors[edge] = json_int(c)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InvalidParameterError(f"malformed layout document: {exc}") from exc
     if kind not in (STACK, QUEUE):

@@ -5,7 +5,10 @@ stack solver fixes vertex 0 in front and drops mirrored orders; nesting
 survives only reversal, so the queue solver halves the search space once.
 Orders are scanned in lexicographic order and the best count is replaced
 only by a strictly smaller one, so the layout returned is the first
-optimal order with the colouring the per-order solver gives it.
+optimal order with the colouring the per-order solver gives it.  The
+budget allows at least one order, and the first order scanned is the
+identity, so every scan ends with a layout; an edgeless graph ends there
+with k = 0.
 
 The scan stops as soon as the best count reaches the edge-density floor:
 a k-stack graph on n >= 3 vertices has at most n + k(n - 3) edges (Bernhart
@@ -20,15 +23,13 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from .errors import ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError
 from .graphs import Graph
 from .layouts import (
     QUEUE,
     STACK,
-    EdgeColoring,
     Layout,
     LinearOrder,
-    identity_order,
     min_queue_colors_for_order,
     min_stack_colors_for_order,
     verify_layout,
@@ -39,6 +40,10 @@ from .layouts import (
 class SolveBudget:
     max_vertices: int = 9
     max_orders: Optional[int] = None
+
+    def __post_init__(self):
+        if self.max_orders is not None and self.max_orders < 1:
+            raise InvalidParameterError("max_orders must be a positive integer")
 
 
 @dataclass
@@ -64,28 +69,14 @@ def density_floor(kind: str, n: int, m: int) -> int:
     return k
 
 
-def _trivial_result(g: Graph, kind: str) -> SolveResult:
-    coloring = EdgeColoring.from_colors({e: 0 for e in g.edges})
-    layout = Layout(kind, identity_order(g.vertex_count), coloring)
-    return SolveResult(coloring.k, layout, True, 0, coloring.k)
-
-
-def _stack_orders(n: int):
-    if n <= 2:
-        yield tuple(range(n))
-        return
-    for rest in permutations(range(1, n)):
-        if rest[0] < rest[-1]:
-            yield (0, *rest)
-
-
-def _queue_orders(n: int):
-    if n <= 1:
-        yield tuple(range(n))
-        return
-    for perm in permutations(range(n)):
-        if perm[0] < perm[-1]:
-            yield perm
+def _orders(n: int, kind: str):
+    """Vertex orders up to symmetry, in lexicographic order: stack orders
+    pin vertex 0 first, and both kinds keep the first free vertex below the
+    last."""
+    head = (0,) if kind == STACK and n else ()
+    for rest in permutations(range(len(head), n)):
+        if len(rest) < 2 or rest[0] < rest[-1]:
+            yield head + rest
 
 
 def _solve(g: Graph, budget: SolveBudget, kind: str) -> SolveResult:
@@ -96,15 +87,11 @@ def _solve(g: Graph, budget: SolveBudget, kind: str) -> SolveResult:
             lower=floor,
             upper=len(g.edges),
         )
-    if not g.edges:
-        return _trivial_result(g, kind)
-
     best_k: Optional[int] = None
     best_layout: Optional[Layout] = None
     scanned = 0
     exact = True
-    orders = _stack_orders(g.vertex_count) if kind == STACK else _queue_orders(g.vertex_count)
-    for seq in orders:
+    for seq in _orders(g.vertex_count, kind):
         if budget.max_orders is not None and scanned >= budget.max_orders:
             exact = False
             break
@@ -114,26 +101,13 @@ def _solve(g: Graph, budget: SolveBudget, kind: str) -> SolveResult:
             k, coloring = min_stack_colors_for_order(
                 g, order, max_edges=len(g.edges), _cutoff=best_k
             )
-            if k is None:
-                continue
         else:
             k, coloring = min_queue_colors_for_order(g, order)
-            if best_k is not None and k >= best_k:
-                continue
-        if best_k is None or k < best_k:
+        if k is not None and (best_k is None or k < best_k):
             best_k = k
             best_layout = Layout(kind, order, coloring)
             if best_k <= floor:
                 break
-
-    if best_layout is None:
-        exact = False
-        order = identity_order(g.vertex_count)
-        if kind == STACK:
-            best_k, coloring = min_stack_colors_for_order(g, order, max_edges=len(g.edges))
-        else:
-            best_k, coloring = min_queue_colors_for_order(g, order)
-        best_layout = Layout(kind, order, coloring)
 
     report = verify_layout(g, best_layout)
     if not report.valid:

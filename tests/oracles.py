@@ -141,6 +141,31 @@ def brute_min_colors(edges, seq, kind):
     return best[0]
 
 
+def dsatur_greedy_colors(edges, seq):
+    """Greedy stack colouring of a fixed order by DSATUR on its crossing
+    conflicts: repeatedly colour the edge with the most distinct colours
+    among its conflicts (then the most conflicts, then the earliest in
+    sorted order) with the smallest colour they leave free.
+    Returns (k, {edge: colour})."""
+    pos = positions(seq)
+    edges = sorted(edges)
+    m = len(edges)
+    conflicts = [
+        [j for j in range(m) if j != i and oracle_crosses(pos, edges[i], edges[j])]
+        for i in range(m)
+    ]
+    colors = {}
+    while len(colors) < m:
+        def key(i):
+            return (-len({colors[j] for j in conflicts[i] if j in colors}),
+                    -len(conflicts[i]), i)
+
+        i = min((i for i in range(m) if i not in colors), key=key)
+        taken = {colors[j] for j in conflicts[i] if j in colors}
+        colors[i] = min(c for c in range(m + 1) if c not in taken)
+    return max(colors.values(), default=-1) + 1, {edges[i]: c for i, c in colors.items()}
+
+
 def brute_layout_number(n_vertices, edges, kind):
     """Minimum over every vertex order of the per-order brute minimum."""
     best = None

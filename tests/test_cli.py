@@ -1,6 +1,9 @@
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +119,8 @@ def test_verify_truncated_json(product_files, tmp_path):
 
 _PAIR_GRAPH = {"kind": "plain", "vertices": [{"id": 0, "label": 0}, {"id": 1, "label": 1}],
                "edges": [[0, 1]]}
+_PATH_GRAPH = {"kind": "plain", "vertices": [{"id": v, "label": v} for v in range(3)],
+               "edges": [[0, 1], [1, 2]]}
 
 
 @pytest.mark.parametrize(
@@ -162,6 +167,15 @@ _PAIR_GRAPH = {"kind": "plain", "vertices": [{"id": 0, "label": 0}, {"id": 1, "l
          {"g": {"kind": "product", "n": 1, "vertices": [{"id": 0, "label": ["t", [1, 1]]},
                                                         {"id": 1, "label": [1, [1, 1]]}],
                 "edges": [[0, 1]]}}),
+        (("verify", "{g}", "{l}"),
+         {"g": _PATH_GRAPH,
+          "l": {"kind": "stack", "order": [0, 1, 2], "colors": {"0-1": 0, "1-0": 5, "1-2": 0}}}),
+        (("verify", "{g}", "{l}"),
+         {"g": _PAIR_GRAPH, "l": {"kind": "queue", "order": [0, 1], "colors": {" 0-1 ": 0}}}),
+        (("verify", "{g}", "{l}"),
+         {"g": _PAIR_GRAPH, "l": {"kind": "queue", "order": [0, 1], "colors": {"0-0_1": 0}}}),
+        (("gen", "hex", "--n", "2", "--output", "{out}/missing/x.json"), {}),
+        (("gen", "hex", "--n", "2", "--output", "{out}"), {}),
     ],
     ids=["vertex-without-id", "hex-scalar-label", "one-element-edge", "colors-as-list",
          "negative-colour", "non-integer-order-entry", "undecodable-bytes",
@@ -170,10 +184,12 @@ _PAIR_GRAPH = {"kind": "plain", "vertices": [{"id": 0, "label": 0}, {"id": 1, "l
          "fractional-order-entry", "fractional-colour", "fractional-coloring-n",
          "fractional-witness-order-entry", "hexpath-file-and-random",
          "witness-order-and-random", "hex-string-n", "hex-n-mismatch", "star-a-mismatch",
-         "product-without-a"],
+         "product-without-a", "edge-coloured-twice", "padded-edge-key", "underscore-edge-key",
+         "output-in-missing-directory", "output-is-a-directory"],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, args, files):
-    paths = {}
+    paths = {"out": str(tmp_path / "out")}
+    (tmp_path / "out").mkdir()
     for name, content in files.items():
         path = tmp_path / f"{name}.json"
         if isinstance(content, bytes):
@@ -186,6 +202,7 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, args, files):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not list(tmp_path.rglob(".linlay-*"))  # no temporary output left behind
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +382,21 @@ def test_params_s3():
 def test_byte_identical_reruns(args):
     outputs = {run_cli(*args).stdout for _ in range(3)}
     assert len(outputs) == 1
+
+
+# ---------------------------------------------------------------------------
+# benchmark tracer
+
+def test_tracer_targets_name_existing_functions(monkeypatch):
+    # bench/tracer.py looks every target up with getattr before a traced
+    # run, so a renamed or deleted function breaks `bench/run.py --trace 1`
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up
+    spec.loader.exec_module(tracer)
+    targets = tracer.JOB_TARGETS + tracer.SETUP_TARGETS
+    assert targets
+    for target in targets:
+        module = importlib.import_module(f"linlay.{target.module}")
+        assert callable(getattr(module, target.function, None)), target.name

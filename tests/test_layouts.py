@@ -31,6 +31,7 @@ from linlay.layouts import largest_crossing, spans
 from oracles import (
     brute_min_colors,
     complete_graph,
+    dsatur_greedy_colors,
     nesting_depth_colors,
     oracle_crosses,
     oracle_nests,
@@ -233,6 +234,40 @@ def test_stack_min_improves_on_greedy_colouring():
     k, coloring = min_stack_colors_for_order(g, order_of(seq))
     assert k == brute_min_colors(edges, seq, "stack") == 3
     assert verify_layout(g, Layout("stack", order_of(seq), coloring)).valid
+
+
+def test_stack_min_search_depth_is_not_bounded_by_recursion():
+    # the instance above followed by a 1,100-edge path that crosses
+    # nothing: the search still has to beat DSATUR's 4 stacks, one level
+    # per edge, deeper than Python's default recursion limit
+    edges = [(0, 2), (0, 4), (0, 7), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5),
+             (2, 7), (3, 6), (4, 7), (5, 7), (6, 7)]
+    path = [(v, v + 1) for v in range(8, 1108)]
+    seq = [5, 1, 3, 7, 0, 2, 4, 6, *range(8, 1109)]
+    g = plain_graph(1109, edges + path)
+    assert len(g.edges) == 1114
+    k, coloring = min_stack_colors_for_order(g, order_of(seq), max_edges=len(g.edges))
+    assert k == 3
+    assert verify_layout(g, Layout("stack", order_of(seq), coloring)).valid
+
+
+def test_stack_min_returns_the_greedy_colouring_when_it_is_optimal():
+    # the search's first descent is DSATUR, and only a strictly better
+    # colouring replaces it
+    rng = Random(4242)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < rng.random()]
+        seq = list(range(n))
+        rng.shuffle(seq)
+        greedy_k, greedy = dsatur_greedy_colors(edges, seq)
+        if greedy_k != brute_min_colors(edges, seq, "stack"):
+            continue
+        k, coloring = min_stack_colors_for_order(plain_graph(n, edges), order_of(seq))
+        assert (k, coloring.colors) == (greedy_k, greedy)
+        checked += 1
+    assert checked >= 250
 
 
 def test_stack_min_respects_edge_limit():

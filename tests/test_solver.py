@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from linlay import (
+    InvalidParameterError,
     LinearOrder,
     ResourceLimitError,
     SolveBudget,
@@ -148,6 +149,23 @@ def test_budget_vertex_gate():
         stack_number(g)
     with pytest.raises(ResourceLimitError):
         queue_number(g, SolveBudget(max_vertices=10))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_edgeless_graphs_end_on_the_identity_order(n):
+    g = plain_graph(n, [])
+    for solver in (stack_number, queue_number):
+        result = solver(g)
+        assert (result.k, result.exact, result.lower_bound) == (0, True, 0)
+        assert result.layout.order.sequence == tuple(range(n))
+        assert result.layout.coloring.colors == {}
+
+
+def test_budget_needs_at_least_one_order():
+    with pytest.raises(InvalidParameterError):
+        SolveBudget(max_orders=0)
+    with pytest.raises(InvalidParameterError):
+        SolveBudget(max_orders=-1)
 
 
 def test_budget_order_cap_returns_bounds():
