@@ -121,11 +121,7 @@ def _cmd_verify(args) -> int:
     g = graph_from_json(_read(args.graph))
     layout = layout_from_json(_read(args.layout))
     report = verify_layout(g, layout)
-    doc = {
-        "valid": report.valid,
-        "violations": [[list(e), list(f)] for e, f in report.violations],
-    }
-    _emit(_dump(doc), args.output)
+    _emit(_dump({"valid": report.valid, "violations": report.violations}), args.output)
     return EXIT_OK if report.valid else EXIT_INVALID
 
 

@@ -50,7 +50,9 @@ class Graph:
     star_a: Optional[int] = None
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """The edges (u, v), u < v, in ascending order, read off the
+        adjacency rows, which every constructor keeps ascending."""
+        return [(u, w) for u, row in enumerate(self.adjacency) for w in row if u < w]
 
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges
@@ -163,7 +165,19 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 @lru_cache(maxsize=None)
 def make_star_hex_product(a: int, n: int) -> Graph:
-    return cartesian_product(make_star(a), make_hex_dual(n))
+    """``cartesian_product(make_star(a), make_hex_dual(n))``, built straight
+    from the ids x * n^2 + y, hub copy first: a hub-copy row is the cell's
+    grid neighbours then its leaf copies, a leaf-copy row is the hub copy
+    then the grid neighbours, so every row comes out ascending."""
+    star, grid = make_star(a), make_hex_dual(n)
+    cells, table = n * n, grid.adjacency
+    size = (a + 1) * cells
+    rows = [nbrs + tuple(range(y + cells, size, cells)) for y, nbrs in enumerate(table)]
+    for base in range(cells, size, cells):
+        rows += [(y, *[base + w for w in nbrs]) for y, nbrs in enumerate(table)]
+    edges = frozenset([(u, w) for u, row in enumerate(rows) for w in row if u < w])
+    labels = tuple(ProductVertex(part, cell) for part in star.labels for cell in grid.labels)
+    return Graph("product", size, labels, edges, tuple(rows), hex_n=n, star_a=a)
 
 
 def star_hex_product_has_edge(a: int, n: int, u: int, v: int) -> bool:
@@ -236,34 +250,31 @@ def shortest_path(
 # ---------------------------------------------------------------------------
 # JSON form: {"kind": ..., "n"/"a": ..., "vertices": [{"id", "label"}], "edges": [[u,v],...]}
 
-def _label_to_json(label):
-    if isinstance(label, GridCoord):
-        return [label.a, label.b]
-    if isinstance(label, ProductVertex):
-        return [label.star_part, [label.grid_part.a, label.grid_part.b]]
-    if isinstance(label, (int, str)):
-        return label
-    # generic products carry tuple labels; serialize positionally by id
-    return None
-
-
-def graph_to_json_dict(g: Graph) -> dict:
-    doc: dict = {"kind": g.kind}
-    if g.hex_n is not None:
-        doc["n"] = g.hex_n
-    if g.star_a is not None:
-        doc["a"] = g.star_a
-    vertices = []
-    for i, label in enumerate(g.labels):
-        enc = _label_to_json(label)
-        vertices.append({"id": i, "label": i if enc is None else enc})
-    doc["vertices"] = vertices
-    doc["edges"] = [list(e) for e in g.edge_list()]
-    return doc
-
-
 def graph_to_json(g: Graph) -> str:
-    return json.dumps(graph_to_json_dict(g), separators=(",", ":"))
+    """The JSON form, with no spaces, written in one pass over the ids and
+    the ascending edges.  Hex, star and product labels are (named tuples
+    of) ints and "t" and print as arrays; a plain graph's tuple labels,
+    those of generic products, print as the vertex id."""
+    if g.kind == "plain":
+        texts = [str(label if isinstance(label, int) else i) for i, label in enumerate(g.labels)]
+    else:
+        memo = {}  # a product repeats each cell and star part many times
+
+        def text(label) -> str:
+            out = memo.get(label)
+            if out is None:
+                parts = isinstance(label, tuple)
+                out = f"[{','.join(map(text, label))}]" if parts else json.dumps(label)
+                memo[label] = out
+            return out
+
+        texts = map(text, g.labels)
+    sizes = "".join(
+        f',"{key}":{size}' for key, size in (("n", g.hex_n), ("a", g.star_a)) if size is not None
+    )
+    vertices = ",".join([f'{{"id":{i},"label":{t}}}' for i, t in enumerate(texts)])
+    edges = ",".join([f"[{u},{v}]" for u, v in g.edge_list()])
+    return f'{{"kind":{json.dumps(g.kind)}{sizes},"vertices":[{vertices}],"edges":[{edges}]}}'
 
 
 def _label_from_json(kind, raw):

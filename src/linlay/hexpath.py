@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import FrozenSet, Iterable, Optional
 
@@ -50,6 +51,12 @@ class GridColoring:
 
     def color(self, coord: GridCoord) -> str:
         return self.rows[coord.b - 1][coord.a - 1]
+
+    @cached_property
+    def _shared_walk(self):
+        """``_walk(self)``, computed once for both ``boundary_sequence`` and
+        ``find_monochromatic_path``."""
+        return _walk(self)
 
     @staticmethod
     def from_function(n: int, fn) -> "GridColoring":
@@ -186,7 +193,7 @@ def boundary_sequence(coloring: GridColoring) -> list[BoundaryStep]:
             coloring.rows[component[0] // n][component[0] % n],
             None if boundary is None else as_coords(boundary),
         )
-        for component, boundary in _walk(coloring)[1]
+        for component, boundary in coloring._shared_walk[1]
     ]
 
 
@@ -200,7 +207,7 @@ def find_monochromatic_path(coloring: GridColoring) -> list[GridCoord]:
     ascending id order, as ``graphs.shortest_path`` does on the grid.
     """
     n = coloring.n
-    label, walk = _walk(coloring)
+    label, walk = coloring._shared_walk
     terminal = walk[-1][0]
     # on one side of the grid, the smallest id is the smallest coordinate
     if any(v >= n * n - n for v in terminal):

@@ -15,6 +15,7 @@ greedy colouring and which stops at the largest crossing set.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -122,12 +123,17 @@ def nests(order: LinearOrder, e, f) -> bool:
     return spans_nest(*_edge_pair_spans(order, e, f))
 
 
-def _pairs(span_list: list, pred):
-    """Index pairs i < j whose spans satisfy ``pred``, in lexicographic order."""
-    for i, s in enumerate(span_list):
-        for j in range(i + 1, len(span_list)):
-            if pred(s, span_list[j]):
-                yield i, j
+def _overlapping_pairs(span_list: list, crossing: bool):
+    """Index pairs (i, j), i < j, whose spans cross, or nest if not
+    ``crossing``.  Each span is compared only with the spans whose left end
+    lies strictly inside it, found by bisection: a right end beyond its own
+    makes the pair cross, one inside it makes the pair nest."""
+    by_left = sorted(range(len(span_list)), key=span_list.__getitem__)
+    lefts = [span_list[i][0] for i in by_left]
+    for i, (a, b) in enumerate(span_list):
+        for j in by_left[bisect_right(lefts, a):bisect_left(lefts, b)]:
+            if (span_list[j][1] > b) if crossing else (span_list[j][1] < b):
+                yield (i, j) if i < j else (j, i)
 
 
 def is_pairwise_crossing(order: LinearOrder, edges: Iterable) -> bool:
@@ -222,7 +228,6 @@ def verify_layout(g: Graph, layout: Layout) -> VerifyReport:
     for e, c in colors.items():
         classes.setdefault(c, []).append(e)
 
-    pred = spans_cross if layout.kind == STACK else spans_nest
     violations = []
     for c in sorted(classes):
         edges = sorted(classes[c])
@@ -232,7 +237,8 @@ def verify_layout(g: Graph, layout: Layout) -> VerifyReport:
         else:
             bad = _class_has_nesting(span_list)
         if bad:
-            violations.extend((edges[i], edges[j]) for i, j in _pairs(span_list, pred))
+            violations.extend((edges[i], edges[j])
+                              for i, j in _overlapping_pairs(span_list, layout.kind == STACK))
     violations.sort()
     return VerifyReport(not violations, violations)
 
@@ -242,7 +248,7 @@ def verify_layout(g: Graph, layout: Layout) -> VerifyReport:
 
 def _conflict_adjacency(span_list: list) -> list:
     adj = [set() for _ in span_list]
-    for i, j in _pairs(span_list, spans_cross):
+    for i, j in _overlapping_pairs(span_list, crossing=True):
         adj[i].add(j)
         adj[j].add(i)
     return adj
@@ -259,15 +265,19 @@ def _exact_coloring(adj, lower: int, best_k: int) -> Optional[list[int]]:
     replace the best, and the search ends once the clique size ``lower`` is
     reached.  The choices are kept on an explicit stack of frames
     (vertex, colours used before it, neighbours its colour saturated).
+    Vertices without conflicts come last under that order and take colour
+    0 (free, as ``1 <= lower < best_k`` once there is a vertex) without
+    changing the count, so they are coloured up front and not searched.
     """
     m = len(adj)
-    colors = [-1] * m
+    colors = [-1 if adj[u] else 0 for u in range(m)]
+    conflicting = [u for u in range(m) if adj[u]]
     saturation = [set() for _ in range(m)]
     best = None
     frames: list[tuple[int, int, list[int]]] = []
     used = 0
     while True:
-        v = min((u for u in range(m) if colors[u] == -1), default=-1,
+        v = min((u for u in conflicting if colors[u] == -1), default=-1,
                 key=lambda u: (-len(saturation[u]), -len(adj[u]), u))
         if v == -1:
             # strictly better: every colour assigned kept used below best_k
@@ -359,16 +369,12 @@ def min_queue_colors_for_order(g: Graph, order: LinearOrder):
 # ---------------------------------------------------------------------------
 # JSON form: {"kind": "stack"|"queue", "order": [...], "colors": {"u-v": c}}
 
-def layout_to_json_dict(layout: Layout) -> dict:
-    colors = {
-        f"{u}-{v}": layout.coloring.colors[(u, v)]
-        for u, v in sorted(layout.coloring.colors)
-    }
-    return {"kind": layout.kind, "order": list(layout.order.sequence), "colors": colors}
-
-
 def layout_to_json(layout: Layout) -> str:
-    return json.dumps(layout_to_json_dict(layout), separators=(",", ":"))
+    """The JSON form, with no spaces and the colour keys in edge order.
+    Colourings built in edge order make the sort one linear pass."""
+    colors = ",".join([f'"{u}-{v}":{c}' for (u, v), c in sorted(layout.coloring.colors.items())])
+    order = json.dumps(layout.order.sequence, separators=(",", ":"))
+    return f'{{"kind":{json.dumps(layout.kind)},"order":{order},"colors":{{{colors}}}}}'
 
 
 def layout_from_json_dict(doc: dict) -> Layout:

@@ -11,9 +11,11 @@ from itertools import combinations, permutations
 
 from linlay import (
     FamilyTooSmallError,
+    GridCoord,
     InvalidParameterError,
     LinearOrder,
     PreconditionViolationError,
+    ProductVertex,
     Selection,
     classify_pair,
     connected_components,
@@ -64,6 +66,71 @@ def oracle_nests(pos, e, f):
     a1, b1 = sorted((pos[e[0]], pos[e[1]]))
     a2, b2 = sorted((pos[f[0]], pos[f[1]]))
     return (a1 < a2 and b2 < b1) or (a2 < a1 and b1 < b2)
+
+
+def all_pairs_violations(layout):
+    """Every same-colour pair of edges whose spans cross (stack) or nest
+    (queue), found by comparing all pairs, as sorted pairs of sorted edges."""
+    pos = positions(layout.order.sequence)
+    pred = oracle_crosses if layout.kind == "stack" else oracle_nests
+    colors = layout.coloring.colors
+    return sorted(
+        (e, f)
+        for e, f in combinations(sorted(colors), 2)
+        if colors[e] == colors[f] and pred(pos, e, f)
+    )
+
+
+def label_queue_colors(g):
+    """The constructed queue colouring of a hex grid or star-times-grid
+    product, read from vertex labels: an edge inside one grid cell is a
+    star edge (0); a grid edge is horizontal (1) if it keeps b, vertical
+    (2) if it keeps a, else diagonal (3).  Hex grids have no star edges,
+    so their classes start at 0."""
+
+    def direction(p, q):
+        return 1 if p.b == q.b else 2 if p.a == q.a else 3
+
+    if g.kind == "hex":
+        return {(u, v): direction(g.labels[u], g.labels[v]) - 1 for u, v in g.edges}
+    colors = {}
+    for u, v in g.edges:
+        p, q = g.labels[u].grid_part, g.labels[v].grid_part
+        colors[(u, v)] = 0 if p == q else direction(p, q)
+    return colors
+
+
+def graph_json_dict(g):
+    """The JSON document of a graph built as nested dicts and lists: hex and
+    product labels as coordinate arrays, int and "t" labels as themselves,
+    any other label (generic products) as the vertex id."""
+
+    def label(i, x):
+        if isinstance(x, GridCoord):
+            return [x.a, x.b]
+        if isinstance(x, ProductVertex):
+            return [x.star_part, [x.grid_part.a, x.grid_part.b]]
+        return x if isinstance(x, (int, str)) else i
+
+    doc = {"kind": g.kind}
+    if g.hex_n is not None:
+        doc["n"] = g.hex_n
+    if g.star_a is not None:
+        doc["a"] = g.star_a
+    doc["vertices"] = [{"id": i, "label": label(i, x)} for i, x in enumerate(g.labels)]
+    doc["edges"] = [list(e) for e in sorted(g.edges)]
+    return doc
+
+
+def layout_json_dict(layout):
+    """The JSON document of a layout built as a dict, colour keys "u-v" in
+    sorted edge order."""
+    colors = layout.coloring.colors
+    return {
+        "kind": layout.kind,
+        "order": list(layout.order.sequence),
+        "colors": {f"{u}-{v}": colors[(u, v)] for u, v in sorted(colors)},
+    }
 
 
 def nesting_depth_colors(edges, seq):

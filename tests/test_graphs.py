@@ -22,7 +22,7 @@ from linlay import (
 )
 from linlay.graphs import star_hex_product_has_edge
 
-from oracles import complete_graph
+from oracles import complete_graph, graph_json_dict
 
 
 def hex_edge_oracle(p, q):
@@ -152,6 +152,52 @@ def test_product_edge_check_matches_the_built_product():
                 for v in range(-1, size + 1):
                     expected = (min(u, v), max(u, v)) in edges
                     assert star_hex_product_has_edge(a, n, u, v) == expected, (a, n, u, v)
+
+
+def test_star_hex_product_equals_the_generic_product():
+    for a in range(1, 6):
+        for n in range(1, 7):
+            built = make_star_hex_product(a, n)
+            generic = cartesian_product(make_star(a), make_hex_dual(n))
+            assert built == generic  # kind, sizes, labels and edge set
+            assert built.adjacency == generic.adjacency
+            assert all(type(label) is ProductVertex for label in built.labels)
+
+
+def _graphs_of_every_constructor():
+    rng = Random(2024)
+    graphs = [make_hex_dual(n) for n in range(1, 6)]
+    graphs += [make_star(a) for a in range(1, 5)]
+    graphs += [make_star_hex_product(a, n) for a in range(1, 4) for n in range(1, 4)]
+    graphs += [complete_graph(5), plain_graph(0, []), plain_graph(3, [])]
+    for _ in range(10):
+        n = rng.randint(2, 9)
+        pairs = [(v, u) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        rng.shuffle(pairs)
+        graphs.append(plain_graph(n, pairs))
+    graphs += [
+        cartesian_product(plain_graph(3, [(0, 2), (1, 2)]), make_star(2)),
+        cartesian_product(make_star(2), make_star(3)),
+        cartesian_product(make_hex_dual(2), make_star(1)),
+    ]
+    # a file may list its edges in any order and label vertices freely
+    shuffled = {
+        "kind": "plain",
+        "vertices": [{"id": i, "label": 10 - i} for i in range(4)],
+        "edges": [[2, 3], [0, 3], [1, 2], [0, 1]],
+    }
+    graphs.append(graph_from_json(json.dumps(shuffled)))
+    return graphs + [graph_from_json(graph_to_json(g)) for g in graphs]
+
+
+def test_edge_list_is_the_sorted_edge_set():
+    for g in _graphs_of_every_constructor():
+        assert g.edge_list() == sorted(g.edges)
+
+
+def test_graph_json_equals_the_dict_form():
+    for g in _graphs_of_every_constructor():
+        assert graph_to_json(g) == json.dumps(graph_json_dict(g), separators=(",", ":"))
 
 
 def test_product_identity_factor():

@@ -217,6 +217,18 @@ def test_shells_walk_takes_n_steps_at_64():
     check_path(shells(64), find_monochromatic_path(shells(64)))
 
 
+def test_path_and_trace_share_one_walk(monkeypatch):
+    calls = []
+    walk = linlay.hexpath._walk
+    monkeypatch.setattr(linlay.hexpath, "_walk", lambda c: calls.append(c) or walk(c))
+    coloring = shells(9)
+    steps = boundary_sequence(coloring)
+    path = find_monochromatic_path(coloring)
+    assert len(calls) == 1
+    assert len(steps) == 9
+    check_path(coloring, path)
+
+
 def test_component_cycle_raises(monkeypatch):
     # without the diagonals the 2 x 2 grid is a 4-cycle, and a checkerboard
     # splits it into four singleton components joined in a cycle

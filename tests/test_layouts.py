@@ -29,9 +29,11 @@ from linlay import (
 from linlay.layouts import largest_crossing, spans
 
 from oracles import (
+    all_pairs_violations,
     brute_min_colors,
     complete_graph,
     dsatur_greedy_colors,
+    layout_json_dict,
     nesting_depth_colors,
     oracle_crosses,
     oracle_nests,
@@ -178,7 +180,7 @@ def test_verify_rejects_partial_inputs():
 def test_verify_fast_path_matches_pair_scan():
     rng = Random(4321)
     for _ in range(150):
-        n = rng.randint(3, 8)
+        n = rng.randint(3, 16)
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
         if not edges:
             continue
@@ -188,14 +190,10 @@ def test_verify_fast_path_matches_pair_scan():
         order = order_of(seq)
         k = rng.randint(1, 3)
         coloring = EdgeColoring.from_colors({e: rng.randrange(k) for e in g.edges})
-        for kind, pred in (("stack", oracle_crosses), ("queue", oracle_nests)):
-            report = verify_layout(g, Layout(kind, order, coloring))
-            pos = positions(seq)
-            expected = sorted(
-                (e, f)
-                for e, f in combinations(sorted(edges), 2)
-                if coloring.colors[e] == coloring.colors[f] and pred(pos, e, f)
-            )
+        for kind in ("stack", "queue"):
+            layout = Layout(kind, order, coloring)
+            report = verify_layout(g, layout)
+            expected = all_pairs_violations(layout)
             assert report.violations == expected
             assert report.valid == (not expected)
 
@@ -382,6 +380,24 @@ def test_layout_json_round_trip():
     assert again.order == layout.order
     assert again.coloring.colors == layout.coloring.colors
     assert layout_to_json(again) == text
+
+
+def test_layout_json_equals_the_dict_form_in_any_key_order():
+    rng = Random(31)
+    _, stacks = min_stack_colors_for_order(complete_graph(6), identity_order(6))
+    layouts = [
+        product_queue_layout(3, 3),
+        product_queue_layout(1, 1),
+        Layout("stack", identity_order(6), stacks),
+        Layout("queue", identity_order(0), EdgeColoring.from_colors({})),
+    ]
+    for layout in layouts:
+        items = list(layout.coloring.colors.items())
+        for _ in range(3):
+            rng.shuffle(items)
+            shuffled = Layout(layout.kind, layout.order, EdgeColoring.from_colors(dict(items)))
+            expected = json.dumps(layout_json_dict(shuffled), separators=(",", ":"))
+            assert layout_to_json(shuffled) == expected
 
 
 def test_layout_json_shape_and_errors():

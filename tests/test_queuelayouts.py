@@ -10,7 +10,7 @@ from linlay import (
     verify_layout,
 )
 
-from oracles import weakly_nesting_pairs
+from oracles import label_queue_colors, weakly_nesting_pairs
 
 
 def test_single_cell_grid_layout():
@@ -33,6 +33,14 @@ def test_hex_layout_valid_and_strict(n):
     layout = hex_queue_layout(n)
     assert verify_layout(g, layout).valid
     assert weakly_nesting_pairs(layout) == []
+
+
+def test_step_colours_match_the_label_classes():
+    for n in range(1, 8):
+        assert hex_queue_layout(n).coloring.colors == label_queue_colors(make_hex_dual(n))
+        for a in range(1, 5):
+            colors = product_queue_layout(a, n).coloring.colors
+            assert colors == label_queue_colors(make_star_hex_product(a, n))
 
 
 def test_vertical_edges_have_span_n():
