@@ -54,24 +54,19 @@ EXIT_BUDGET = 3
 EXIT_SCALE = 4
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be a positive integer")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"value must be at least {low}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be nonnegative")
-    return value
+    return parse
 
 
 def _dump(doc: dict) -> str:
@@ -236,12 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="write a graph as JSON or DOT")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     gen_hex = gen_sub.add_parser("hex")
-    gen_hex.add_argument("--n", type=_positive_int, required=True)
+    gen_hex.add_argument("--n", type=_int_at_least(1), required=True)
     gen_star = gen_sub.add_parser("star")
-    gen_star.add_argument("--a", type=_positive_int, required=True)
+    gen_star.add_argument("--a", type=_int_at_least(1), required=True)
     gen_product = gen_sub.add_parser("product")
-    gen_product.add_argument("--a", type=_positive_int, required=True)
-    gen_product.add_argument("--n", type=_positive_int, required=True)
+    gen_product.add_argument("--a", type=_int_at_least(1), required=True)
+    gen_product.add_argument("--n", type=_int_at_least(1), required=True)
     for p in (gen_hex, gen_star, gen_product):
         p.add_argument("--output", default=None)
         p.add_argument("--format", choices=("json", "dot"), default="json")
@@ -256,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="exact stack or queue number of a small graph")
     solve.add_argument("graph")
     solve.add_argument("--kind", choices=("stack", "queue"), required=True)
-    solve.add_argument("--max-vertices", type=_positive_int, default=9)
-    solve.add_argument("--max-orders", type=_positive_int, default=None)
+    solve.add_argument("--max-vertices", type=_int_at_least(1), default=9)
+    solve.add_argument("--max-orders", type=_int_at_least(1), default=None)
     solve.add_argument("--output", default=None)
     solve.add_argument("--format", choices=("json", "dot"), default="json")
     solve.set_defaults(func=_cmd_solve)
@@ -265,26 +260,26 @@ def build_parser() -> argparse.ArgumentParser:
     hexpath = sub.add_parser("hexpath", help="monochromatic path in a two-coloured grid")
     hexpath.add_argument("coloring", nargs="?", default=None)
     hexpath.add_argument("--random", action="store_true")
-    hexpath.add_argument("--n", type=_positive_int, default=None)
-    hexpath.add_argument("--seed", type=_nonnegative_int, default=0)
+    hexpath.add_argument("--n", type=_int_at_least(1), default=None)
+    hexpath.add_argument("--seed", type=_int_at_least(0), default=0)
     hexpath.add_argument("--trace", action="store_true")
     hexpath.add_argument("--output", default=None)
     hexpath.set_defaults(func=_cmd_hexpath)
 
     witness = sub.add_parser("witness", help="crossing witness for an order of a product")
-    witness.add_argument("--a", type=_positive_int, required=True)
-    witness.add_argument("--n", type=_positive_int, required=True)
-    witness.add_argument("--c", type=_positive_int, required=True)
-    witness.add_argument("--d", type=_positive_int, required=True)
+    witness.add_argument("--a", type=_int_at_least(1), required=True)
+    witness.add_argument("--n", type=_int_at_least(1), required=True)
+    witness.add_argument("--c", type=_int_at_least(1), required=True)
+    witness.add_argument("--d", type=_int_at_least(1), required=True)
     witness.add_argument("--order", default=None)
     witness.add_argument("--random", action="store_true")
-    witness.add_argument("--seed", type=_nonnegative_int, default=0)
+    witness.add_argument("--seed", type=_int_at_least(0), default=0)
     witness.add_argument("--trace", action="store_true")
     witness.add_argument("--output", default=None)
     witness.set_defaults(func=_cmd_witness)
 
     params = sub.add_parser("params", help="scale parameters for a target witness size")
-    params.add_argument("--s", type=_positive_int, required=True)
+    params.add_argument("--s", type=_int_at_least(1), required=True)
     params.add_argument("--output", default=None)
     params.set_defaults(func=_cmd_params)
 

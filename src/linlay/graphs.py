@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidParameterError, json_int, load_json
@@ -41,17 +41,25 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
+    """A graph is its adjacency rows: row v lists v's neighbours ascending."""
+
     kind: str
-    vertex_count: int
     labels: tuple
-    edges: frozenset
-    adjacency: tuple = field(compare=False, repr=False)
+    adjacency: tuple = field(repr=False)
     hex_n: Optional[int] = None
     star_a: Optional[int] = None
 
+    @property
+    def vertex_count(self) -> int:
+        return len(self.adjacency)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The edges (u, v), u < v, as a set, built from the rows on first use."""
+        return frozenset((u, w) for u, row in enumerate(self.adjacency) for w in row if u < w)
+
     def edge_list(self) -> list[tuple[int, int]]:
-        """The edges (u, v), u < v, in ascending order, read off the
-        adjacency rows, which every constructor keeps ascending."""
+        """The edges (u, v), u < v, in ascending order."""
         return [(u, w) for u, row in enumerate(self.adjacency) for w in row if u < w]
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -61,29 +69,29 @@ class Graph:
         return len(self.adjacency[v])
 
 
-def _make_graph(kind, labels, edge_pairs, hex_n=None, star_a=None) -> Graph:
+def _from_edges(kind, labels, pairs, hex_n=None, star_a=None) -> Graph:
+    """The graph on ``labels`` whose edges are ``pairs``, each given in
+    either orientation; a repeated pair counts once."""
     labels = tuple(labels)
     n = len(labels)
     if len(set(labels)) != n:
         raise InvalidParameterError("vertex labels must be injective")
-    edges = set()
-    for u, v in edge_pairs:
+    rows = [[] for _ in range(n)]
+    for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidParameterError(f"edge ({u},{v}) outside vertex range")
-        edges.add(normalize_edge(u, v))
-    adjacency = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
-    return Graph(kind, n, labels, frozenset(edges), adjacency, hex_n, star_a)
+        if u == v:
+            raise InvalidParameterError(f"self-loop at vertex {u}")
+        rows[u].append(v)
+        rows[v].append(u)
+    return Graph(kind, labels, tuple(tuple(sorted(set(row))) for row in rows), hex_n, star_a)
 
 
 def plain_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Simple graph on ids 0..vertex_count-1 with plain integer labels."""
     if vertex_count < 0:
         raise InvalidParameterError("vertex_count must be nonnegative")
-    return _make_graph("plain", range(vertex_count), edges)
+    return _from_edges("plain", range(vertex_count), edges)
 
 
 def hex_vertex_id(coord: GridCoord, n: int) -> int:
@@ -119,8 +127,7 @@ def make_hex_dual(n: int) -> Graph:
     """
     table = hex_neighbours(n)
     labels = tuple(hex_coord(v, n) for v in range(n * n))
-    edges = frozenset((v, w) for v, nbrs in enumerate(table) for w in nbrs if v < w)
-    return Graph("hex", n * n, labels, edges, table, hex_n=n)
+    return Graph("hex", labels, table, hex_n=n)
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +136,7 @@ def make_star(a: int) -> Graph:
     if a < 1:
         raise InvalidParameterError("a must be a positive integer")
     labels = [STAR_ROOT] + list(range(1, a + 1))
-    return _make_graph("star", labels, [(0, i) for i in range(1, a + 1)], star_a=a)
+    return _from_edges("star", labels, [(0, i) for i in range(1, a + 1)], star_a=a)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -156,11 +163,11 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
             for x in range(g.vertex_count)
             for y in range(nh)
         ]
-        return _make_graph("product", labels, edges, hex_n=h.hex_n, star_a=g.star_a)
+        return _from_edges("product", labels, edges, hex_n=h.hex_n, star_a=g.star_a)
     labels = [
         (g.labels[x], h.labels[y]) for x in range(g.vertex_count) for y in range(nh)
     ]
-    return _make_graph("plain", labels, edges)
+    return _from_edges("plain", labels, edges)
 
 
 @lru_cache(maxsize=None)
@@ -175,9 +182,8 @@ def make_star_hex_product(a: int, n: int) -> Graph:
     rows = [nbrs + tuple(range(y + cells, size, cells)) for y, nbrs in enumerate(table)]
     for base in range(cells, size, cells):
         rows += [(y, *[base + w for w in nbrs]) for y, nbrs in enumerate(table)]
-    edges = frozenset([(u, w) for u, row in enumerate(rows) for w in row if u < w])
     labels = tuple(ProductVertex(part, cell) for part in star.labels for cell in grid.labels)
-    return Graph("product", size, labels, edges, tuple(rows), hex_n=n, star_a=a)
+    return Graph("product", labels, tuple(rows), hex_n=n, star_a=a)
 
 
 def star_hex_product_has_edge(a: int, n: int, u: int, v: int) -> bool:
@@ -290,7 +296,8 @@ def _label_from_json(kind, raw):
     return json_int(raw)
 
 
-def graph_from_json_dict(doc: dict) -> Graph:
+def graph_from_json(text: str) -> Graph:
+    doc = load_json(text)
     try:
         kind = doc["kind"]
         if kind not in ("plain", "hex", "star", "product"):
@@ -314,8 +321,4 @@ def graph_from_json_dict(doc: dict) -> Graph:
     copies = 1 if star_a is None else star_a + 1
     if kind != "plain" and cells * copies != len(ids):
         raise InvalidParameterError(f"{len(ids)} vertices do not fit a {kind} graph of that size")
-    return _make_graph(kind, labels, pairs, hex_n=hex_n, star_a=star_a)
-
-
-def graph_from_json(text: str) -> Graph:
-    return graph_from_json_dict(load_json(text))
+    return _from_edges(kind, labels, pairs, hex_n=hex_n, star_a=star_a)

@@ -245,14 +245,11 @@ def coloring_to_json(coloring: GridColoring) -> str:
     return json.dumps(coloring_to_json_dict(coloring), separators=(",", ":"))
 
 
-def coloring_from_json_dict(doc: dict) -> GridColoring:
+def coloring_from_json(text: str) -> GridColoring:
+    doc = load_json(text)
     try:
         n = json_int(doc["n"])
         rows = tuple(tuple(str(c) for c in row) for row in doc["rows"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed colouring document: {exc}") from exc
     return GridColoring(n, rows)
-
-
-def coloring_from_json(text: str) -> GridColoring:
-    return coloring_from_json_dict(load_json(text))

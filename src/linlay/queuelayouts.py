@@ -9,7 +9,6 @@ the hub, and product edges again fall into three equal-span classes.
 
 from __future__ import annotations
 
-from .errors import InvalidParameterError
 from .graphs import make_hex_dual, make_star_hex_product
 from .layouts import QUEUE, EdgeColoring, Layout, LinearOrder, identity_order
 
@@ -48,8 +47,6 @@ def product_queue_layout(a: int, n: int) -> Layout:
     read off the id step: a star edge joins copies of one cell, a whole
     number of n^2 grids apart, and a grid edge steps 1, n or n + 1 < n^2.
     """
-    if a < 1 or n < 1:
-        raise InvalidParameterError("a and n must be positive")
     g = make_star_hex_product(a, n)
     cells, step = n * n, _step_classes(n)
     colors = {

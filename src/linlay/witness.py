@@ -205,13 +205,10 @@ def extract_crossing_witness(
     an InsufficientScale outcome when the surviving family is too small
     for the requested chain/antichain targets.
     """
-    if a < 1 or n < 1 or c < 1 or d < 1:
-        raise InvalidParameterError("a, n, c and d must be positive")
-    cells = n * n
-    if len(order) != (a + 1) * cells:
-        raise InvalidParameterError("order must cover the product's vertex set")
-
+    if c < 1 or d < 1:
+        raise InvalidParameterError("c and d must be positive")
     family = consistent_leaf_family(order, a, n)
+    cells = n * n
     coloring = GridColoring.from_function(
         n, lambda coord: RED if family.direction[coord] == INCREASING else BLUE
     )

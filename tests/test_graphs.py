@@ -195,6 +195,22 @@ def test_edge_list_is_the_sorted_edge_set():
         assert g.edge_list() == sorted(g.edges)
 
 
+def test_plain_graph_takes_pairs_in_any_order_orientation_and_multiplicity():
+    pairs = [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4)]
+    messy = [(v, u) for u, v in pairs[::2]] + pairs[1::2] + pairs[:3]
+    Random(7).shuffle(messy)
+    g = plain_graph(5, messy)
+    assert g == plain_graph(5, pairs)
+    assert g.edge_list() == pairs
+    assert all(list(row) == sorted(set(row)) for row in g.adjacency)
+
+
+def test_graphs_differing_in_one_edge_compare_unequal():
+    pairs = [(0, 1), (1, 2), (2, 3)]
+    assert plain_graph(4, pairs) != plain_graph(4, pairs[:2] + [(0, 3)])
+    assert plain_graph(4, pairs) != plain_graph(4, pairs[:2])
+
+
 def test_graph_json_equals_the_dict_form():
     for g in _graphs_of_every_constructor():
         assert graph_to_json(g) == json.dumps(graph_json_dict(g), separators=(",", ":"))
@@ -334,6 +350,13 @@ def test_json_round_trip(g):
     again = graph_from_json(text)
     assert again == g
     assert graph_to_json(again) == text
+
+
+@pytest.mark.parametrize("a", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_json_round_trip_of_every_small_product(a, n):
+    g = make_star_hex_product(a, n)
+    assert graph_from_json(graph_to_json(g)) == g
 
 
 def test_json_doc_shape():

@@ -177,6 +177,14 @@ def test_verify_rejects_partial_inputs():
         )
 
 
+def test_verify_refuses_reversed_and_non_edge_keys():
+    g = plain_graph(3, [(0, 1), (1, 2)])
+    order = identity_order(3)
+    for colors in ({(1, 0): 0, (1, 2): 0}, {(0, 1): 0, (1, 2): 0, (0, 2): 1}):
+        with pytest.raises(InvalidParameterError):
+            verify_layout(g, Layout("queue", order, EdgeColoring.from_colors(colors)))
+
+
 def test_verify_fast_path_matches_pair_scan():
     rng = Random(4321)
     for _ in range(150):
