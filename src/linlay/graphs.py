@@ -2,14 +2,13 @@
 
 Vertices are dense integer ids so that order/position queries are plain
 array lookups; semantic labels (grid coordinates, star parts) ride along.
-Graph values are immutable after construction.
+Graph values are never changed after construction.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional
 
@@ -39,15 +38,26 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class Graph:
     """A graph is its adjacency rows: row v lists v's neighbours ascending."""
 
-    kind: str
-    labels: tuple
-    adjacency: tuple = field(repr=False)
-    hex_n: Optional[int] = None
-    star_a: Optional[int] = None
+    def __init__(self, kind: str, labels: tuple, adjacency: tuple,
+                 hex_n: Optional[int] = None, star_a: Optional[int] = None):
+        self.kind, self.labels, self.adjacency = kind, labels, adjacency
+        self.hex_n, self.star_a = hex_n, star_a
+
+    def _key(self) -> tuple:
+        return self.kind, self.labels, self.adjacency, self.hex_n, self.star_a
+
+    def __eq__(self, other):
+        return isinstance(other, Graph) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:  # the rows would swamp it
+        return (f"Graph(kind={self.kind!r}, labels={self.labels!r}, "
+                f"hex_n={self.hex_n!r}, star_a={self.star_a!r})")
 
     @property
     def vertex_count(self) -> int:
@@ -304,16 +314,20 @@ def graph_from_json(text: str) -> Graph:
             raise InvalidParameterError(f"unknown graph kind {kind!r}")
         ids = [json_int(v["id"]) for v in doc["vertices"]]
         labels = [_label_from_json(kind, v["label"]) for v in doc["vertices"]]
-        pairs = [(json_int(u), json_int(v)) for u, v in doc["edges"]]
+        pairs, unordered = doc["edges"], None
+        for u, v in pairs:  # one pass checks the types and finds the first u >= v
+            if type(u) is not int or type(v) is not int:
+                json_int(u), json_int(v)  # raises on the first non-integer
+            if u >= v:
+                unordered = unordered or [u, v]
         hex_n = json_int(doc["n"]) if kind in ("hex", "product") else None
         star_a = json_int(doc["a"]) if kind in ("star", "product") else None
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed graph document: {exc}") from exc
     if ids != list(range(len(ids))):
         raise InvalidParameterError("vertex ids must be dense and sorted from 0")
-    for u, v in pairs:
-        if not u < v:
-            raise InvalidParameterError(f"edge {[u, v]} not stored with u < v")
+    if unordered is not None:
+        raise InvalidParameterError(f"edge {unordered} not stored with u < v")
     for name, size in (("n", hex_n), ("a", star_a)):
         if size is not None and size < 1:
             raise InvalidParameterError(f"{name!r} must be a positive integer")

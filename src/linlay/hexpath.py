@@ -22,10 +22,9 @@ first component that touches the right or top side.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Iterable, NamedTuple, Optional
 
 from .errors import InternalInvariantError, InvalidParameterError, json_int, load_json
 from .graphs import GridCoord, hex_coord, hex_neighbours, hex_vertex_id
@@ -34,20 +33,23 @@ RED = "R"
 BLUE = "B"
 
 
-@dataclass(frozen=True)
 class GridColoring:
     """Total red/blue assignment to the n x n grid; rows are indexed by b."""
 
-    n: int
-    rows: tuple  # rows[b-1][a-1] in {"R", "B"}
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, rows: tuple):  # rows[b-1][a-1] in {"R", "B"}
+        if n < 1:
             raise InvalidParameterError("n must be positive")
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise InvalidParameterError("colouring must cover the full grid")
-        if any(c not in (RED, BLUE) for r in self.rows for c in r):
+        if any(c not in (RED, BLUE) for r in rows for c in r):
             raise InvalidParameterError("colours must be 'R' or 'B'")
+        self.n, self.rows = n, rows
+
+    def __eq__(self, other):
+        return isinstance(other, GridColoring) and (self.n, self.rows) == (other.n, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
 
     def color(self, coord: GridCoord) -> str:
         return self.rows[coord.b - 1][coord.a - 1]
@@ -70,8 +72,7 @@ def random_coloring(n: int, rng: Random) -> GridColoring:
     return GridColoring.from_function(n, lambda c: RED if rng.getrandbits(1) else BLUE)
 
 
-@dataclass(frozen=True)
-class BoundaryStep:
+class BoundaryStep(NamedTuple):
     component: FrozenSet[GridCoord]
     color: str
     far_boundary: Optional[FrozenSet[GridCoord]]

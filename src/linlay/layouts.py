@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError, json_int, load_json
 from .graphs import Graph, normalize_edge
@@ -29,10 +28,19 @@ QUEUE = "queue"
 DEFAULT_STACK_EDGE_LIMIT = 64
 
 
-@dataclass(frozen=True)
 class LinearOrder:
-    sequence: tuple[int, ...]
-    position: tuple[int, ...] = field(compare=False, repr=False)
+    """Vertices in ``sequence`` order, ``position[v]`` the index of v; equal by sequence."""
+
+    __slots__ = ("sequence", "position")
+
+    def __init__(self, sequence: tuple[int, ...], position: tuple[int, ...]):
+        self.sequence, self.position = sequence, position
+
+    def __eq__(self, other):
+        return isinstance(other, LinearOrder) and self.sequence == other.sequence
+
+    def __hash__(self) -> int:
+        return hash(self.sequence)
 
     @staticmethod
     def from_sequence(seq: Sequence[int]) -> "LinearOrder":
@@ -47,9 +55,6 @@ class LinearOrder:
 
     def __len__(self) -> int:
         return len(self.sequence)
-
-    def pos(self, v: int) -> int:
-        return self.position[v]
 
     def reversed(self) -> "LinearOrder":
         return LinearOrder.from_sequence(tuple(reversed(self.sequence)))
@@ -146,8 +151,7 @@ def is_pairwise_crossing(order: LinearOrder, edges: Iterable) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(NamedTuple):
     colors: dict
     k: int
 
@@ -157,15 +161,13 @@ class EdgeColoring:
         return EdgeColoring(dict(colors), k)
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(NamedTuple):
     kind: str
     order: LinearOrder
     coloring: EdgeColoring
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     valid: bool
     violations: list
 

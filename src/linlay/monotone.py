@@ -10,8 +10,7 @@ members.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InternalInvariantError, InvalidParameterError
 from .graphs import hex_coord
@@ -72,8 +71,7 @@ def longest_monotone_subsequence(seq: Sequence) -> tuple[str, list[int]]:
     return direction, picked
 
 
-@dataclass(frozen=True)
-class LeafFamily:
+class LeafFamily(NamedTuple):
     """Leaves u_1..u_b whose copies are consistently ordered at every grid
     vertex, with the per-vertex direction of that ordering."""
 

@@ -11,11 +11,10 @@ once the family has (c-1)(d-1)+1 members.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     FamilyTooSmallError,
@@ -30,7 +29,6 @@ CROSSING = "crossing"
 NEITHER = "neither"
 
 
-@dataclass(frozen=True)
 class PathFamily:
     """Disjoint paths (one per surviving leaf) inside a shared vertex order.
 
@@ -40,9 +38,9 @@ class PathFamily:
     looked up once per path, on first use, for ``span`` and ``edge_spans``.
     """
 
-    paths: tuple[tuple[int, ...], ...]
-    order: LinearOrder
-    leaves: Optional[tuple[int, ...]] = None
+    def __init__(self, paths: tuple[tuple[int, ...], ...], order: LinearOrder,
+                 leaves: Optional[tuple[int, ...]] = None):
+        self.paths, self.order, self.leaves = paths, order, leaves
 
     def leaf_of(self, i: int) -> int:
         return self.leaves[i] if self.leaves is not None else i
@@ -85,8 +83,7 @@ def classify_pair(fam: PathFamily, i: int, j: int) -> str:
     return NEITHER
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(NamedTuple):
     kind: str  # "separated" | "crossing"
     indices: tuple[int, ...]
 

@@ -19,9 +19,8 @@ general).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .graphs import Graph
@@ -36,18 +35,16 @@ from .layouts import (
 )
 
 
-@dataclass(frozen=True)
 class SolveBudget:
-    max_vertices: int = 9
-    max_orders: Optional[int] = None
+    __slots__ = ("max_vertices", "max_orders")
 
-    def __post_init__(self):
-        if self.max_orders is not None and self.max_orders < 1:
+    def __init__(self, max_vertices: int = 9, max_orders: Optional[int] = None):
+        if max_orders is not None and max_orders < 1:
             raise InvalidParameterError("max_orders must be a positive integer")
+        self.max_vertices, self.max_orders = max_vertices, max_orders
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     k: int
     layout: Layout
     exact: bool

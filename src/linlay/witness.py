@@ -14,10 +14,7 @@ per edge of it.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     FamilyTooSmallError,
@@ -37,8 +34,7 @@ CASE_CROSSING = "crossing_II"
 _CASE_CODES = {CASE_SEPARATED_1: "I.1", CASE_SEPARATED_2: "I.2", CASE_CROSSING: "II"}
 
 
-@dataclass(frozen=True)
-class ScaleParameters:
+class ScaleParameters(NamedTuple):
     """Parameters that force a witness of size s on every order."""
 
     s: int
@@ -56,6 +52,7 @@ def required_parameters(s: int) -> ScaleParameters:
     materialised) leaf count that guarantee s pairwise crossing edges."""
     if s < 1:
         raise InvalidParameterError("s must be positive")
+    from decimal import Decimal, localcontext  # only `params` needs it
     n = 2 * s
     m = 2 ** (n * n - 1)
     c = 2 * s
@@ -69,8 +66,7 @@ def required_parameters(s: int) -> ScaleParameters:
     return ScaleParameters(s, n, m, c, d, b_bound, m, digits)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     case: str
     edges: tuple
     family_size_b: int
@@ -79,8 +75,7 @@ class WitnessReport:
     trace: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class InsufficientScale:
+class InsufficientScale(NamedTuple):
     family_size_b: int
     longest_chain: int
     largest_antichain: int
@@ -323,7 +318,3 @@ def parameters_to_json_dict(params: ScaleParameters) -> dict:
             "digits": params.a_digits,
         },
     }
-
-
-def parameters_to_json(params: ScaleParameters) -> str:
-    return json.dumps(parameters_to_json_dict(params), separators=(",", ":"))

@@ -1,12 +1,14 @@
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import linlay
 from linlay import (
     graph_from_json,
     is_pairwise_crossing,
@@ -387,16 +389,44 @@ def test_byte_identical_reruns(args):
 # ---------------------------------------------------------------------------
 # benchmark tracer
 
-def test_tracer_targets_name_existing_functions(monkeypatch):
-    # bench/tracer.py looks every target up with getattr before a traced
-    # run, so a renamed or deleted function breaks `bench/run.py --trace 1`
+def _tracer_targets(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up
     spec.loader.exec_module(tracer)
-    targets = tracer.JOB_TARGETS + tracer.SETUP_TARGETS
+    return tracer.JOB_TARGETS + tracer.SETUP_TARGETS
+
+
+def test_tracer_targets_name_existing_functions(monkeypatch):
+    # bench/tracer.py looks every target up with getattr before a traced
+    # run, so a renamed or deleted function breaks `bench/run.py --trace 1`
+    targets = _tracer_targets(monkeypatch)
     assert targets
     for target in targets:
         module = importlib.import_module(f"linlay.{target.module}")
         assert callable(getattr(module, target.function, None)), target.name
+
+
+def test_start_up_imports(monkeypatch):
+    # every CLI run is a fresh process, so what `import linlay.cli` pulls in
+    # is paid per job; -S skips `site`, whose .pth files import what they like
+    code = (
+        "import json, sys\n"
+        "import linlay\n"
+        "package = sorted(m for m in sys.modules if m.startswith('linlay.'))\n"
+        "import linlay.cli\n"
+        "heavy = [m for m in ('dataclasses', 'inspect', 'decimal') if m in sys.modules]\n"
+        "print(json.dumps([package, heavy]))\n"
+    )
+    src = str(Path(linlay.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    package, heavy = json.loads(done.stdout)
+    assert heavy == []
+    # the tracer wraps functions after a bare `import linlay`; it imports
+    # the cli itself, which the package leaves out
+    traced = {f"linlay.{t.module}" for t in _tracer_targets(monkeypatch)} - {"linlay.cli"}
+    assert traced <= set(package)

@@ -2,6 +2,8 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linlay import (
     Graph,
@@ -389,6 +391,53 @@ def test_json_rejects_garbage():
                 }
             )
         )
+
+
+@st.composite
+def plain_graphs(draw):
+    n = draw(st.integers(2, 7))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), min_size=1))
+    return plain_graph(n, pairs)
+
+
+@settings(deadline=None)
+@given(plain_graphs())
+def test_json_round_trip_of_random_plain_graphs(g):
+    text = graph_to_json(g)
+    assert graph_from_json(text) == g
+    assert graph_to_json(graph_from_json(text)) == text
+
+
+NOT_INTEGERS = st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=3))
+
+
+@settings(deadline=None)
+@given(plain_graphs(), st.data())
+def test_malformed_edge_lists_keep_their_messages(g, data):
+    # one fault in one edge: an endpoint that is no JSON integer, an
+    # edge not stored ascending, or a pair of the wrong length
+    doc = json.loads(graph_to_json(g))
+    edges = doc["edges"]
+    i = data.draw(st.integers(0, len(edges) - 1))
+    u, v = edges[i]
+    fault = data.draw(st.sampled_from(("endpoint", "order", "arity")))
+    if fault == "endpoint":
+        bad = data.draw(NOT_INTEGERS)
+        edges[i][data.draw(st.integers(0, 1))] = bad
+        expected = f"malformed graph document: {bad!r} is not an integer"
+    elif fault == "order":
+        edges[i] = data.draw(st.sampled_from(([v, u], [u, u], [v, v])))
+        expected = f"edge {edges[i]} not stored with u < v"
+    elif data.draw(st.booleans()):
+        edges[i] = [u]
+        expected = "malformed graph document: not enough values to unpack (expected 2, got 1)"
+    else:
+        edges[i] = [u, v, v]
+        expected = "malformed graph document: too many values to unpack (expected 2)"
+    with pytest.raises(InvalidParameterError) as info:
+        graph_from_json(json.dumps(doc))
+    assert str(info.value) == expected
 
 
 def test_graph_immutability_contract():
