@@ -11,8 +11,6 @@ from .graphs import (
     Graph,
     GridCoord,
     ProductVertex,
-    cartesian_product,
-    connected_components,
     graph_from_json,
     graph_to_json,
     hex_coord,
@@ -49,6 +47,7 @@ from .layouts import (
     min_stack_colors_for_order,
     nests,
     verify_layout,
+    verify_layout_json,
 )
 from .monotone import (
     DECREASING,

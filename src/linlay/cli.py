@@ -32,9 +32,8 @@ from .hexpath import (
 )
 from .layouts import (
     LinearOrder,
-    layout_from_json,
     layout_to_json,
-    verify_layout,
+    verify_layout_json,
 )
 from .render import graph_to_dot
 from .solve import SolveBudget, queue_number, stack_number
@@ -114,9 +113,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = graph_from_json(_read(args.graph))
-    layout = layout_from_json(_read(args.layout))
-    report = verify_layout(g, layout)
-    _emit(_dump({"valid": report.valid, "violations": report.violations}), args.output)
+    report = verify_layout_json(g, _read(args.layout))
+    # the violations as _dump would print them, pairs of edges [[u,v],[x,y]]
+    pairs = ",".join([f"[[{u},{v}],[{x},{y}]]" for (u, v), (x, y) in report.violations])
+    _emit(f'{{"valid":{_dump(report.valid)},"violations":[{pairs}]}}', args.output)
     return EXIT_OK if report.valid else EXIT_INVALID
 
 

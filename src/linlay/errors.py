@@ -51,8 +51,9 @@ def json_int(value) -> int:
 
 
 def load_json(text: str):
-    """Parse a JSON document; syntax errors become InvalidParameterError."""
+    """Parse a JSON document; syntax errors, integers too long to convert
+    and nesting too deep to decode become InvalidParameterError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidParameterError(f"invalid JSON: {exc}") from exc

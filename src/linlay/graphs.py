@@ -8,6 +8,7 @@ Graph values are never changed after construction.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional
@@ -149,43 +150,12 @@ def make_star(a: int) -> Graph:
     return _from_edges("star", labels, [(0, i) for i in range(1, a + 1)], star_a=a)
 
 
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product: (x,y) ~ (x',y') iff one coordinate steps along an edge.
-
-    Vertex ids are x * |V(h)| + y.  A star times a hex grid keeps
-    structured ProductVertex labels; any other combination falls back to
-    a plain graph labelled by (label_x, label_y) pairs.
-    """
-    if g.vertex_count == 0 or h.vertex_count == 0:
-        raise InvalidParameterError("both factors must be nonempty")
-    nh = h.vertex_count
-    edges = []
-    for x in range(g.vertex_count):
-        base = x * nh
-        for u, v in h.edges:
-            edges.append((base + u, base + v))
-    for u, v in g.edges:
-        for y in range(nh):
-            edges.append((u * nh + y, v * nh + y))
-    if g.kind == "star" and h.kind == "hex":
-        labels = [
-            ProductVertex(g.labels[x], h.labels[y])
-            for x in range(g.vertex_count)
-            for y in range(nh)
-        ]
-        return _from_edges("product", labels, edges, hex_n=h.hex_n, star_a=g.star_a)
-    labels = [
-        (g.labels[x], h.labels[y]) for x in range(g.vertex_count) for y in range(nh)
-    ]
-    return _from_edges("plain", labels, edges)
-
-
 @lru_cache(maxsize=None)
 def make_star_hex_product(a: int, n: int) -> Graph:
-    """``cartesian_product(make_star(a), make_hex_dual(n))``, built straight
-    from the ids x * n^2 + y, hub copy first: a hub-copy row is the cell's
-    grid neighbours then its leaf copies, a leaf-copy row is the hub copy
-    then the grid neighbours, so every row comes out ascending."""
+    """The Cartesian product of ``make_star(a)`` and ``make_hex_dual(n)``,
+    built straight from the ids x * n^2 + y, hub copy first: a hub-copy row
+    is the cell's grid neighbours then its leaf copies, a leaf-copy row is
+    the hub copy then the grid neighbours, so every row comes out ascending."""
     star, grid = make_star(a), make_hex_dual(n)
     cells, table = n * n, grid.adjacency
     size = (a + 1) * cells
@@ -207,34 +177,6 @@ def star_hex_product_has_edge(a: int, n: int, u: int, v: int) -> bool:
     if x == x2:
         return y2 in hex_neighbours(n)[y]
     return y == y2 and x == 0
-
-
-def connected_components(g: Graph, restrict: Optional[Iterable[int]] = None) -> list[frozenset[int]]:
-    """Partition of ``restrict`` (default all vertices) into maximal connected
-    pieces of the induced subgraph, ordered by smallest member."""
-    if restrict is None:
-        allowed = set(range(g.vertex_count))
-    else:
-        allowed = set(restrict)
-        bad = [v for v in allowed if not 0 <= v < g.vertex_count]
-        if bad:
-            raise InvalidParameterError(f"restrict contains unknown vertices {bad}")
-    components = []
-    seen = set()
-    for start in sorted(allowed):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if w in allowed and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        components.append(frozenset(comp))
-    return components
 
 
 def shortest_path(
@@ -266,11 +208,11 @@ def shortest_path(
 # ---------------------------------------------------------------------------
 # JSON form: {"kind": ..., "n"/"a": ..., "vertices": [{"id", "label"}], "edges": [[u,v],...]}
 
-def graph_to_json(g: Graph) -> str:
-    """The JSON form, with no spaces, written in one pass over the ids and
-    the ascending edges.  Hex, star and product labels are (named tuples
-    of) ints and "t" and print as arrays; a plain graph's tuple labels,
-    those of generic products, print as the vertex id."""
+def _json_pieces(g: Graph):
+    """graph_to_json's text, in order: the header, one piece per vertex and
+    one per row's edges (u, w), u < w.  Hex, star and product labels are
+    (named tuples of) ints and "t" and print as arrays; a plain graph's
+    tuple labels, those of generic products, print as the vertex id."""
     if g.kind == "plain":
         texts = [str(label if isinstance(label, int) else i) for i, label in enumerate(g.labels)]
     else:
@@ -288,9 +230,50 @@ def graph_to_json(g: Graph) -> str:
     sizes = "".join(
         f',"{key}":{size}' for key, size in (("n", g.hex_n), ("a", g.star_a)) if size is not None
     )
-    vertices = ",".join([f'{{"id":{i},"label":{t}}}' for i, t in enumerate(texts)])
-    edges = ",".join([f"[{u},{v}]" for u, v in g.edge_list()])
-    return f'{{"kind":{json.dumps(g.kind)}{sizes},"vertices":[{vertices}],"edges":[{edges}]}}'
+    yield f'{{"kind":{json.dumps(g.kind)}{sizes},"vertices":['
+    for i, t in enumerate(texts):
+        yield f'{"," if i else ""}{{"id":{i},"label":{t}}}'
+    yield '],"edges":['
+    sep = ""
+    for u, row in enumerate(g.adjacency):
+        later = ",".join([f"[{u},{w}]" for w in row if u < w])
+        if later:
+            yield sep + later
+            sep = ","
+    yield "]}"
+
+
+def graph_to_json(g: Graph) -> str:
+    """The JSON form, with no spaces, written in one pass over the ids and
+    the ascending edges."""
+    return "".join(_json_pieces(g))
+
+
+# the header graph_to_json writes for a hex grid or a product
+_CANONICAL_HEADER = re.compile(
+    r'\{"kind":"(hex|product)","n":([1-9][0-9]{0,8})(?:,"a":([1-9][0-9]{0,8}))?,"vertices":\['
+)
+_MIN_VERTEX_BYTES = 20  # graph_to_json spends more on a hex or product vertex
+
+
+def _canonical_graph(text: str) -> Optional[Graph]:
+    """The hex grid or product whose graph_to_json text is ``text``, at most
+    one newline after it, built from the header's sizes (unless the text
+    could not hold that graph) and compared piece by piece; else None."""
+    header = _CANONICAL_HEADER.match(text)
+    if header is None:
+        return None
+    kind, n, a = header.groups()
+    n, copies = int(n), 1 if a is None else int(a) + 1
+    if (kind == "product") != (a is not None) or len(text) < _MIN_VERTEX_BYTES * copies * n * n:
+        return None
+    g = make_hex_dual(n) if a is None else make_star_hex_product(copies - 1, n)
+    pos = 0
+    for piece in _json_pieces(g):
+        if not text.startswith(piece, pos):
+            return None
+        pos += len(piece)
+    return g if text[pos:] in ("", "\n") else None
 
 
 def _label_from_json(kind, raw):
@@ -307,6 +290,11 @@ def _label_from_json(kind, raw):
 
 
 def graph_from_json(text: str) -> Graph:
+    """The graph a JSON document describes.  By the round trip, a document
+    in graph_to_json's form is the graph its header's sizes build."""
+    canonical = _canonical_graph(text)
+    if canonical is not None:
+        return canonical
     doc = load_json(text)
     try:
         kind = doc["kind"]

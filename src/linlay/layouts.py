@@ -15,6 +15,7 @@ greedy colouring and which stops at the largest crossing set.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left, bisect_right
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -208,6 +209,23 @@ def _class_has_nesting(spans: list[tuple[int, int]]) -> bool:
     return False
 
 
+def _sweep(kind: str, order: LinearOrder, classes: dict) -> VerifyReport:
+    """The report on colour classes, each a list of ascending edges."""
+    violations = []
+    for c in sorted(classes):
+        edges = classes[c]
+        span_list = spans(order, edges)
+        if kind == STACK:
+            bad = _class_has_crossing(span_list, len(order))
+        else:
+            bad = _class_has_nesting(span_list)
+        if bad:
+            violations.extend((edges[i], edges[j])
+                              for i, j in _overlapping_pairs(span_list, kind == STACK))
+    violations.sort()
+    return VerifyReport(not violations, violations)
+
+
 def verify_layout(g: Graph, layout: Layout) -> VerifyReport:
     """Check a layout: no same-colour pair crosses (stack) / nests (queue).
 
@@ -220,26 +238,14 @@ def verify_layout(g: Graph, layout: Layout) -> VerifyReport:
     if len(order) != g.vertex_count:
         raise InvalidParameterError("order must cover the graph's vertices exactly")
     colors = layout.coloring.colors
-    if colors.keys() != g.edges:
+    edges = g.edge_list()
+    # distinct keys, as many as edges and every edge among them: the edge set
+    if len(colors) != len(edges) or not all(e in colors for e in edges):
         raise InvalidParameterError("colouring must be total on the edge set")
-
     classes: dict[int, list] = {}
-    for e, c in colors.items():
-        classes.setdefault(c, []).append(e)
-
-    violations = []
-    for c in sorted(classes):
-        edges = sorted(classes[c])
-        span_list = spans(order, edges)
-        if layout.kind == STACK:
-            bad = _class_has_crossing(span_list, len(order))
-        else:
-            bad = _class_has_nesting(span_list)
-        if bad:
-            violations.extend((edges[i], edges[j])
-                              for i, j in _overlapping_pairs(span_list, layout.kind == STACK))
-    violations.sort()
-    return VerifyReport(not violations, violations)
+    for e in edges:
+        classes.setdefault(colors[e], []).append(e)
+    return _sweep(layout.kind, order, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -397,3 +403,47 @@ def layout_from_json(text: str) -> Layout:
     if any(c < 0 for c in colors.values()):
         raise InvalidParameterError("colours must be nonnegative")
     return Layout(kind, order, EdgeColoring.from_colors(colors))
+
+
+# layout_to_json's text up to the first colour key, and one colour value
+_CANONICAL_HEAD = re.compile(r'\{"kind":"(stack|queue)","order":(\[[0-9,]*\]),"colors":\{')
+_COLOUR = re.compile(r"(?:0|[1-9][0-9]*)(?=[,}])")
+
+
+def _canonical_classes(g: Graph, text: str):
+    """The kind, order and colour classes of a document in layout_to_json's
+    form whose colour keys are g's edges in ascending order, read in one
+    pass over the edges; None for any other text."""
+    head = _CANONICAL_HEAD.match(text)
+    if head is None:
+        return None
+    try:
+        order = LinearOrder.from_sequence(json.loads(head[2]))
+    except ValueError:
+        return None
+    if len(order) != g.vertex_count:
+        return None
+    classes: dict[str, list] = {}
+    pos, sep = head.end(), ""
+    for u, row in enumerate(g.adjacency):  # the ascending edges, with no list of them
+        for w in row:
+            if u < w:
+                key = f'{sep}"{u}-{w}":'
+                colour = _COLOUR.match(text, pos + len(key))
+                if colour is None or not text.startswith(key, pos):
+                    return None
+                classes.setdefault(colour[0], []).append((u, w))
+                pos, sep = colour.end(), ","
+    if text[pos:] not in ("}}", "}}\n"):
+        return None
+    return head[1], order, {int(c): edges for c, edges in classes.items()}
+
+
+def verify_layout_json(g: Graph, text: str) -> VerifyReport:
+    """``verify_layout(g, layout_from_json(text))``.  A document in
+    layout_to_json's form keyed by g's edges is read straight into colour
+    classes; any other text takes that path, messages and all."""
+    canonical = _canonical_classes(g, text)
+    if canonical is None:
+        return verify_layout(g, layout_from_json(text))
+    return _sweep(*canonical)

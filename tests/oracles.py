@@ -7,10 +7,12 @@ the library paths they check.  The two exceptions, ``scan_layout_number``
 and ``all_pairs_chain_or_antichain``, say why in their docstrings.
 """
 
+from collections import deque
 from itertools import combinations, permutations
 
 from linlay import (
     FamilyTooSmallError,
+    Graph,
     GridCoord,
     InvalidParameterError,
     LinearOrder,
@@ -18,7 +20,6 @@ from linlay import (
     ProductVertex,
     Selection,
     classify_pair,
-    connected_components,
     hex_coord,
     make_hex_dual,
     min_queue_colors_for_order,
@@ -47,6 +48,58 @@ def cube_graph():
     so the identity order nests four edges."""
     faces = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)]
     return plain_graph(8, faces + [(i, 7 - i) for i in range(4)])
+
+
+def cartesian_product(g, h):
+    """Cartesian product: (x,y) ~ (x',y') iff one coordinate steps along an edge.
+
+    Vertex ids are x * |V(h)| + y.  A star times a hex grid keeps
+    structured ProductVertex labels; any other combination is a plain
+    graph labelled by (label_x, label_y) pairs.
+    """
+    if g.vertex_count == 0 or h.vertex_count == 0:
+        raise InvalidParameterError("both factors must be nonempty")
+    nh = h.vertex_count
+    edges = [(x * nh + u, x * nh + v) for x in range(g.vertex_count) for u, v in h.edges]
+    edges += [(u * nh + y, v * nh + y) for u, v in g.edges for y in range(nh)]
+    rows = [set() for _ in range(g.vertex_count * nh)]
+    for u, v in edges:
+        rows[u].add(v)
+        rows[v].add(u)
+    adjacency = tuple(tuple(sorted(row)) for row in rows)
+    pairs = [(g.labels[x], h.labels[y]) for x in range(g.vertex_count) for y in range(nh)]
+    if g.kind == "star" and h.kind == "hex":
+        labels = tuple(ProductVertex(*pair) for pair in pairs)
+        return Graph("product", labels, adjacency, hex_n=h.hex_n, star_a=g.star_a)
+    return Graph("plain", tuple(pairs), adjacency)
+
+
+def connected_components(g, restrict=None):
+    """Partition of ``restrict`` (default all vertices) into maximal connected
+    pieces of the induced subgraph, ordered by smallest member."""
+    if restrict is None:
+        allowed = set(range(g.vertex_count))
+    else:
+        allowed = set(restrict)
+        bad = [v for v in allowed if not 0 <= v < g.vertex_count]
+        if bad:
+            raise InvalidParameterError(f"restrict contains unknown vertices {bad}")
+    components = []
+    seen = set()
+    for start in sorted(allowed):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in g.adjacency[v]:
+                if w in allowed and w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        components.append(frozenset(comp))
+    return components
 
 
 def positions(seq):

@@ -207,6 +207,46 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, args, files):
     assert not list(tmp_path.rglob(".linlay-*"))  # no temporary output left behind
 
 
+# every subcommand argument that names an input file, the others valid
+_INPUT_SLOTS = {
+    "verify-graph": ("verify", "{bad}", "{layout}"),
+    "verify-layout": ("verify", "{graph}", "{bad}"),
+    "solve": ("solve", "{bad}", "--kind", "queue"),
+    "hexpath": ("hexpath", "{bad}"),
+    "witness": ("witness", "--a", "2", "--n", "1", "--c", "1", "--d", "1", "--order", "{bad}"),
+}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"", b"{", b"null", b"[]", b"{}", b'"text"', b"\xff", b"[" * 100_000,
+     b'{"kind":"hex","n":' + b"9" * 5000 + b',"vertices":[],"edges":[]}',
+     b'{"kind":"product","n":0,"a":1,"vertices":[],"edges":[]}',
+     b'{"kind":"queue","order":[0,1],"colors":{"0-1":1e999}}'],
+    ids=["empty", "truncated", "null", "list", "object", "string", "undecodable",
+         "deep-nesting", "5000-digit-integer", "zero-size", "infinite-colour"],
+)
+def test_no_subcommand_exits_1_on_malformed_input(tmp_path, content):
+    # exit 1 means only "invalid layout"; a bad input file is exit 2
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    graph, layout = tmp_path / "graph.json", tmp_path / "layout.json"
+    graph.write_text(json.dumps(_PAIR_GRAPH))
+    layout.write_text(json.dumps({"kind": "queue", "order": [0, 1], "colors": {"0-1": 0}}))
+    for slot, args in _INPUT_SLOTS.items():
+        proc = run_cli(*(a.format(bad=bad, graph=graph, layout=layout) for a in args))
+        assert proc.returncode == 2, (slot, proc.stderr[-300:])
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def test_oversized_product_header_exits_2(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind":"product","n":100000,"a":100000,"vertices":[],"edges":[]}')
+    proc = run_cli("solve", str(path), "--kind", "stack", timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: 0 vertices do not fit a product graph of that size\n"
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -1,0 +1,227 @@
+"""The canonical-document fast paths against the general decoders.
+
+`graph_from_json` builds a hex grid or product in `graph_to_json`'s form
+from its header, and `verify_layout_json` reads a layout in
+`layout_to_json`'s form straight into colour classes.  Each must give what
+the general path gives on every document: the same graph or report, or the
+same error message.  Documents here are canonical ones with one fault.
+Results are compared by repr, because `True == 1` and `1.0 == 1` would let
+a wrongly typed value compare equal.
+"""
+
+import json
+import re
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linlay import (
+    InvalidParameterError,
+    Layout,
+    graph_from_json,
+    graph_to_json,
+    hex_queue_layout,
+    layout_from_json,
+    layout_to_json,
+    make_hex_dual,
+    make_star_hex_product,
+    product_queue_layout,
+    verify_layout,
+    verify_layout_json,
+)
+from linlay import graphs, layouts
+
+
+def outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except InvalidParameterError as exc:
+        return f"error: {exc}"
+
+
+def graph_key(g):
+    return g.kind, g.labels, g.adjacency, g.hex_n, g.star_a
+
+
+def general_graph(text):
+    with mock.patch.object(graphs, "_canonical_graph", lambda text: None):
+        return graph_key(graph_from_json(text))
+
+
+def general_verify(g, text):
+    return verify_layout(g, layout_from_json(text))
+
+
+def small_graph(kind, a, n):
+    return make_hex_dual(n) if kind == "hex" else make_star_hex_product(a, n)
+
+
+SMALL = [("hex", None, n) for n in range(1, 5)]
+SMALL += [("product", a, n) for a in range(1, 4) for n in range(1, 4)]
+
+
+def scalar_slots(node, skip=("kind",)):
+    """(container, key) of every number and string inside a parsed document,
+    apart from the values under ``skip``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    slots = []
+    for key, value in items:
+        if key in skip and isinstance(node, dict):
+            continue
+        if isinstance(value, (dict, list)):
+            slots += scalar_slots(value, ())
+        else:
+            slots.append((node, key))
+    return slots
+
+
+@st.composite
+def replacement(draw, value):
+    """Another value for a scalar: a neighbour, the same number as a float or
+    a boolean, a string, or null."""
+    if isinstance(value, int):
+        return draw(st.sampled_from(
+            [value + 1, value - 1, float(value), bool(value), not value, str(value), None, "t"]
+        ))
+    return draw(st.sampled_from([0, 1, "T", "", None, True]))
+
+
+def spell(data, doc):
+    """The document as text: compact, as the writers print it, unless drawn
+    otherwise; "number" respells one run of digits, in a value or a key."""
+    style = data.draw(st.sampled_from(
+        ["compact", "compact", "spaced", "newline", "two-newlines", "number"]
+    ))
+    if style == "spaced":
+        return json.dumps(doc)
+    text = json.dumps(doc, separators=(",", ":"))
+    if style == "number":
+        digits = data.draw(st.sampled_from(list(re.finditer(r"[0-9]+", text))))
+        respelt = data.draw(st.sampled_from(["0{}", "{}.0", "{}e0", "-{}", " {}"]))
+        return text[:digits.start()] + respelt.format(digits[0]) + text[digits.end():]
+    return text + {"compact": "", "newline": "\n", "two-newlines": "\n\n"}[style]
+
+
+# ---------------------------------------------------------------------------
+# graphs
+
+@pytest.mark.parametrize("kind, a, n", SMALL)
+def test_canonical_graph_documents_take_the_fast_path(kind, a, n):
+    g = small_graph(kind, a, n)
+    text = graph_to_json(g)
+    for spelled in (text, text + "\n"):
+        assert graphs._canonical_graph(spelled) is g
+    assert graphs._canonical_graph(text + "\n\n") is None
+    assert graphs._canonical_graph(text + " ") is None
+
+
+def perturb_graph(data, doc):
+    fault = data.draw(st.sampled_from(
+        ["none", "scalar", "scalar", "scalar", "drop-edge", "add-edge", "repeat-edge",
+         "swap-edges", "drop-vertex", "reorder-keys", "kind"]
+    ))
+    edges = doc["edges"]
+    if fault == "scalar":
+        container, key = data.draw(st.sampled_from(scalar_slots(doc)))
+        container[key] = data.draw(replacement(container[key]))
+    elif fault == "drop-edge" and edges:
+        del edges[data.draw(st.integers(0, len(edges) - 1))]
+    elif fault == "add-edge":
+        last = len(doc["vertices"]) - 1
+        edges.append(data.draw(st.sampled_from([[0, last], [last, last + 1], [0, 0]])))
+    elif fault == "repeat-edge" and edges:
+        i = data.draw(st.integers(0, len(edges) - 1))
+        edges.insert(i, list(edges[i]))
+    elif fault == "swap-edges" and len(edges) > 1:
+        i = data.draw(st.integers(0, len(edges) - 2))
+        edges[i], edges[i + 1] = edges[i + 1], edges[i]
+    elif fault == "drop-vertex":
+        doc["vertices"].pop()
+    elif fault == "reorder-keys":
+        doc = {key: doc[key] for key in reversed(list(doc))}
+    elif fault == "kind":
+        doc["kind"] = data.draw(st.sampled_from(["hex", "product", "star", "plain"]))
+    return doc
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(SMALL), st.data())
+def test_perturbed_graph_documents_decode_as_on_the_general_path(params, data):
+    doc = json.loads(graph_to_json(small_graph(*params)))
+    text = spell(data, perturb_graph(data, doc))
+    assert outcome(lambda t: graph_key(graph_from_json(t)), text) == outcome(general_graph, text)
+
+
+def test_oversized_header_is_not_built():
+    text = '{"kind":"product","n":100000,"a":100000,"vertices":[],"edges":[]}'
+    refuse = mock.Mock(side_effect=AssertionError("built a graph the text cannot hold"))
+    with mock.patch.object(graphs, "make_star_hex_product", refuse):
+        with pytest.raises(InvalidParameterError, match="do not fit a product graph"):
+            graph_from_json(text)
+    assert not refuse.called
+
+
+# ---------------------------------------------------------------------------
+# layouts
+
+def small_layouts():
+    for kind, a, n in SMALL:
+        layout = hex_queue_layout(n) if kind == "hex" else product_queue_layout(a, n)
+        for layout_kind in ("queue", "stack"):
+            yield small_graph(kind, a, n), Layout(layout_kind, layout.order, layout.coloring)
+
+
+def test_canonical_layout_documents_take_the_fast_path():
+    for g, layout in small_layouts():
+        text = layout_to_json(layout)
+        for spelled in (text, text + "\n"):
+            kind, order, classes = layouts._canonical_classes(g, spelled)
+            assert (kind, order) == (layout.kind, layout.order)
+            assert verify_layout_json(g, spelled) == verify_layout(g, layout)
+        assert layouts._canonical_classes(g, text + "\n\n") is None
+
+
+def perturb_layout(data, doc):
+    fault = data.draw(st.sampled_from(
+        ["none", "scalar", "scalar", "swap-keys", "reverse-key", "zero-padded-key",
+         "drop-key", "extra-key", "both-spellings", "swap-order", "kind"]
+    ))
+    colors = doc["colors"]
+    items = list(colors.items())
+    i = data.draw(st.integers(0, len(items) - 1)) if items else None
+    if fault == "scalar":
+        container, key = data.draw(st.sampled_from(scalar_slots(doc)))
+        container[key] = data.draw(replacement(container[key]))
+    elif fault == "swap-keys" and len(items) > 1:
+        j = data.draw(st.integers(0, len(items) - 1))
+        items[i], items[j] = items[j], items[i]
+    elif fault in ("reverse-key", "zero-padded-key", "both-spellings") and items:
+        u, v = items[i][0].split("-")
+        key = f"0{u}-{v}" if fault == "zero-padded-key" else f"{v}-{u}"
+        if fault == "both-spellings":
+            items.insert(i + 1, items[i])
+        items[i] = (key, items[i][1])
+    elif fault == "drop-key" and items:
+        del items[i]
+    elif fault == "extra-key":
+        last = len(doc["order"]) - 1
+        items.append((data.draw(st.sampled_from([f"0-{last}", f"{last}-{last + 1}", "0-0"])), 0))
+    elif fault == "swap-order" and len(doc["order"]) > 1:
+        order = doc["order"]
+        j = data.draw(st.integers(0, len(order) - 1))
+        order[0], order[j] = order[j], order[0]
+    elif fault == "kind":
+        doc["kind"] = data.draw(st.sampled_from(["queue", "stack", "shelf"]))
+    doc["colors"] = dict(items)
+    return doc
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(list(small_layouts())), st.data())
+def test_perturbed_layout_documents_verify_as_on_the_general_path(case, data):
+    g, layout = case
+    doc = json.loads(layout_to_json(layout))
+    text = spell(data, perturb_layout(data, doc))
+    assert outcome(verify_layout_json, g, text) == outcome(general_verify, g, text)

@@ -10,8 +10,6 @@ from linlay import (
     GridCoord,
     InvalidParameterError,
     ProductVertex,
-    cartesian_product,
-    connected_components,
     graph_from_json,
     graph_to_json,
     hex_coord,
@@ -24,7 +22,7 @@ from linlay import (
 )
 from linlay.graphs import star_hex_product_has_edge
 
-from oracles import complete_graph, graph_json_dict
+from oracles import cartesian_product, complete_graph, connected_components, graph_json_dict
 
 
 def hex_edge_oracle(p, q):
