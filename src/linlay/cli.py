@@ -1,8 +1,8 @@
 """Command-line surface: gen / verify / solve / hexpath / witness / params.
 
-Exit codes: 0 success, 1 failed verification, 2 bad input, 3 budget
-exceeded, 4 witness scale insufficient.  Identical command lines with the
-same seed produce byte-identical output.
+Exit codes: 0 success, 1 failed verification, 2 bad input, 3 budget or
+build size exceeded, 4 witness scale insufficient; ``main`` maps each error.
+Identical command lines with the same seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -52,6 +52,10 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_SCALE = 4
 
+# gen, hexpath --random and witness --random build nothing larger; gen
+# product's JSON peaks at about 780 B per vertex, so this stays under 1 GB
+MAX_BUILD_VERTICES = 1_000_000
+
 
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than ``low``."""
@@ -70,6 +74,17 @@ def _int_at_least(low: int):
 
 def _dump(doc: dict) -> str:
     return json.dumps(doc, separators=(",", ":"))
+
+
+def _budget_exceeded(lower, upper, **counts) -> int:
+    print(_dump({"error": "budget-exceeded", "lower": lower, "upper": upper, **counts}),
+          file=sys.stderr)
+    return EXIT_BUDGET
+
+
+def _gate_build(vertices: int) -> None:
+    if vertices > MAX_BUILD_VERTICES:
+        raise ResourceLimitError(f"{vertices} vertices exceed the limit of {MAX_BUILD_VERTICES}")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -100,6 +115,8 @@ def _read(path: str) -> str:
 
 
 def _cmd_gen(args) -> int:
+    # H_n is S_0 x H_n and S_a is S_a x H_1
+    _gate_build((getattr(args, "a", 0) + 1) * getattr(args, "n", 1) ** 2)
     if args.kind == "hex":
         g = make_hex_dual(args.n)
     elif args.kind == "star":
@@ -124,35 +141,16 @@ def _cmd_solve(args) -> int:
     g = graph_from_json(_read(args.graph))
     budget = SolveBudget(max_vertices=args.max_vertices, max_orders=args.max_orders)
     solver = stack_number if args.kind == "stack" else queue_number
-    try:
-        result = solver(g, budget)
-    except ResourceLimitError as exc:
-        print(
-            _dump({"error": "budget-exceeded", "lower": exc.lower, "upper": exc.upper}),
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
+    result = solver(g, budget)
     if not result.exact:
-        print(
-            _dump(
-                {
-                    "error": "budget-exceeded",
-                    "lower": result.lower_bound,
-                    "upper": result.k,
-                    "orders_scanned": result.orders_scanned,
-                }
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
+        return _budget_exceeded(result.lower_bound, result.k,
+                                orders_scanned=result.orders_scanned)
     print(result.k)
     if args.format == "dot":
         text = graph_to_dot(g, result.layout).rstrip("\n")
-        _emit(text, args.output)
-    elif args.output is not None:
-        _emit(layout_to_json(result.layout), args.output)
     else:
-        print(layout_to_json(result.layout))
+        text = layout_to_json(result.layout)
+    _emit(text, args.output)
     return EXIT_OK
 
 
@@ -164,6 +162,7 @@ def _cmd_hexpath(args) -> int:
     elif args.n is None:
         raise InvalidParameterError("--random requires --n")
     else:
+        _gate_build(args.n * args.n)
         coloring = random_coloring(args.n, Random(args.seed))
     path = find_monochromatic_path(coloring)
     doc = {
@@ -204,6 +203,7 @@ def _cmd_witness(args) -> int:
         except (TypeError, ValueError) as exc:
             raise InvalidParameterError(f"malformed order file: {exc}") from exc
     else:
+        _gate_build(size)
         rng = Random(args.seed)
         seq = list(range(size))
         rng.shuffle(seq)
@@ -294,6 +294,8 @@ def main(argv=None) -> int:
     except (InvalidParameterError, PreconditionViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ResourceLimitError as exc:
+        return _budget_exceeded(exc.lower, exc.upper)
     except FamilyTooSmallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCALE

@@ -1,4 +1,4 @@
-"""Graph values and generators: dual hex grids, stars, Cartesian products.
+"""Graph values and generators: dual hex grids, stars and their products.
 
 Vertices are dense integer ids so that order/position queries are plain
 array lookups; semantic labels (grid coordinates, star parts) ride along.

@@ -57,9 +57,6 @@ class LinearOrder:
     def __len__(self) -> int:
         return len(self.sequence)
 
-    def reversed(self) -> "LinearOrder":
-        return LinearOrder.from_sequence(tuple(reversed(self.sequence)))
-
 
 def identity_order(n: int) -> LinearOrder:
     seq = tuple(range(n))
@@ -173,53 +170,37 @@ class VerifyReport(NamedTuple):
     violations: list
 
 
-def _class_has_crossing(spans: list[tuple[int, int]], n: int) -> bool:
-    # stack discipline: open edges at their left end (longest first), each
-    # right end must close the top of the stack
-    opens = [[] for _ in range(n)]
-    closes = [[] for _ in range(n)]
-    for idx, (lo, hi) in enumerate(spans):
-        opens[lo].append(idx)
-        closes[hi].append(idx)
-    stack: list[int] = []
-    for p in range(n):
-        need = set(closes[p])
-        while need:
-            if stack and stack[-1] in need:
-                need.discard(stack.pop())
-            else:
-                return True
-        for idx in sorted(opens[p], key=lambda i: -spans[i][1]):
-            stack.append(idx)
-    return False
+def _rainbow_piles(span_list: list) -> tuple[list[int], list[int]]:
+    """The span indices in (left, right) order, and each one's patience
+    pile on negated right ends: the length of the longest rainbow (chain
+    of pairwise nested spans) strictly around it.  Equal left ends keep
+    their right ends ascending, so they never pile on one another."""
+    by_span = sorted(range(len(span_list)), key=span_list.__getitem__)
+    return by_span, patience_piles([-span_list[i][1] for i in by_span])
 
 
-def _class_has_nesting(spans: list[tuple[int, int]]) -> bool:
-    # left ends ascending; containment needs a strictly smaller left end
-    # with a strictly larger right end
-    prev_max = -1
-    group_lo, group_max = None, -1
-    for lo, hi in sorted(spans):
-        if lo != group_lo:
-            prev_max = max(prev_max, group_max)
-            group_lo, group_max = lo, -1
-        if hi < prev_max:
+def _has_crossing(span_list: list) -> bool:
+    # in (left, -right) order the open right ends form a stack, nearest on
+    # top; once those up to the left end close, a top end inside crosses
+    ends: list[int] = []
+    for a, b in sorted(span_list, key=lambda s: (s[0], -s[1])):
+        while ends and ends[-1] <= a:
+            ends.pop()
+        if ends and ends[-1] < b:
             return True
-        group_max = max(group_max, hi)
+        ends.append(b)
     return False
 
 
 def _sweep(kind: str, order: LinearOrder, classes: dict) -> VerifyReport:
-    """The report on colour classes, each a list of ascending edges."""
+    """The report on colour classes, each a list of ascending edges; only
+    a class that crosses (stack) or has a nonzero rainbow pile (queue)
+    has its pairs listed."""
     violations = []
     for c in sorted(classes):
         edges = classes[c]
         span_list = spans(order, edges)
-        if kind == STACK:
-            bad = _class_has_crossing(span_list, len(order))
-        else:
-            bad = _class_has_nesting(span_list)
-        if bad:
+        if (_has_crossing(span_list) if kind == STACK else any(_rainbow_piles(span_list)[1])):
             violations.extend((edges[i], edges[j])
                               for i, j in _overlapping_pairs(span_list, kind == STACK))
     violations.sort()
@@ -356,17 +337,13 @@ def min_queue_colors_for_order(g: Graph, order: LinearOrder):
     """Exact minimum number of queues for a fixed order, with a witness.
 
     Equals the largest rainbow, a chain of pairwise nested edges (Heath and
-    Rosenberg).  With spans sorted by (left, right), a rainbow is a
-    strictly increasing subsequence of negated right ends, so an edge's
-    patience pile is the length of the longest rainbow strictly around it;
-    colouring by pile makes every class nesting-free.  O(m log m).
+    Rosenberg): colouring each edge by its rainbow pile makes every class
+    nesting-free.  O(m log m).
     """
     if len(order) != g.vertex_count:
         raise InvalidParameterError("order must cover the graph's vertices")
     edges = g.edge_list()
-    span_list = spans(order, edges)
-    by_span = sorted(range(len(edges)), key=span_list.__getitem__)
-    piles = patience_piles([-span_list[i][1] for i in by_span])
+    by_span, piles = _rainbow_piles(spans(order, edges))
     coloring = EdgeColoring.from_colors({edges[i]: p for i, p in zip(by_span, piles)})
     return coloring.k, coloring
 

@@ -78,10 +78,6 @@ class LeafFamily(NamedTuple):
     leaves: tuple[int, ...]
     direction: dict
 
-    @property
-    def size(self) -> int:
-        return len(self.leaves)
-
 
 def consistent_leaf_family(order: LinearOrder, a: int, n: int) -> LeafFamily:
     """Thin the a leaves of the star-times-grid product down to a family

@@ -77,6 +77,27 @@ def test_generated_json_round_trips(tmp_path):
     assert graph_to_json(g) == proc.stdout.strip()
 
 
+@pytest.mark.parametrize("args, vertices", [
+    (["gen", "hex", "--n", "7"], 49),
+    (["gen", "star", "--a", "49"], 50),
+    (["gen", "product", "--a", "1", "--n", "5"], 50),
+    (["hexpath", "--random", "--n", "7"], 49),
+    (["witness", "--random", "--a", "1", "--n", "5", "--c", "1", "--d", "1"], 50),
+])
+def test_build_size_gate(monkeypatch, capsys, args, vertices):
+    # the limit is lowered so that a broken gate builds a small graph only
+    from linlay import cli
+
+    monkeypatch.setattr(cli, "MAX_BUILD_VERTICES", vertices)
+    assert cli.main(args) in (0, 4)
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_BUILD_VERTICES", vertices - 1)
+    assert cli.main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == '{"error":"budget-exceeded","lower":null,"upper":null}\n'
+
+
 # ---------------------------------------------------------------------------
 # verify
 

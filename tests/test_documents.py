@@ -97,11 +97,12 @@ def spell(data, doc):
     if style == "spaced":
         return json.dumps(doc)
     text = json.dumps(doc, separators=(",", ":"))
-    if style == "number":
-        digits = data.draw(st.sampled_from(list(re.finditer(r"[0-9]+", text))))
+    runs = list(re.finditer(r"[0-9]+", text))  # none once a 1-vertex order's id is replaced
+    if style == "number" and runs:
+        digits = data.draw(st.sampled_from(runs))
         respelt = data.draw(st.sampled_from(["0{}", "{}.0", "{}e0", "-{}", " {}"]))
         return text[:digits.start()] + respelt.format(digits[0]) + text[digits.end():]
-    return text + {"compact": "", "newline": "\n", "two-newlines": "\n\n"}[style]
+    return text + {"compact": "", "number": "", "newline": "\n", "two-newlines": "\n\n"}[style]
 
 
 # ---------------------------------------------------------------------------

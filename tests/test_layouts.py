@@ -26,6 +26,7 @@ from linlay import (
     product_queue_layout,
     verify_layout,
 )
+from linlay import layouts
 from linlay.layouts import largest_crossing, spans
 
 from oracles import (
@@ -185,7 +186,17 @@ def test_verify_refuses_reversed_and_non_edge_keys():
             verify_layout(g, Layout("queue", order, EdgeColoring.from_colors(colors)))
 
 
-def test_verify_fast_path_matches_pair_scan():
+def test_verify_fast_path_matches_pair_scan(monkeypatch):
+    # a class's sweep must be exact both ways: one that misses a violation
+    # changes the report, and one that flags a clean class lists no pairs
+    list_pairs = layouts._overlapping_pairs
+
+    def listed(span_list, crossing):
+        pairs = list(list_pairs(span_list, crossing))
+        assert pairs, "a clean colour class was listed"
+        return pairs
+
+    monkeypatch.setattr(layouts, "_overlapping_pairs", listed)
     rng = Random(4321)
     for _ in range(150):
         n = rng.randint(3, 16)
@@ -332,7 +343,7 @@ def test_minima_reversal_invariant(kind):
         seq = list(range(n))
         rng.shuffle(seq)
         order = order_of(seq)
-        assert fn(g, order)[0] == fn(g, order.reversed())[0]
+        assert fn(g, order)[0] == fn(g, LinearOrder.from_sequence(order.sequence[::-1]))[0]
 
 
 def test_queue_min_exhaustive_small_graphs():

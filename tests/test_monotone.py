@@ -133,7 +133,7 @@ def test_random_order_family_verifies():
         rng.shuffle(seq)
         order = LinearOrder.from_sequence(seq)
         family = consistent_leaf_family(order, a, n)
-        assert family.size >= 2  # a^(1/2^(n^2-1)) = 16^(1/8)
+        assert len(family.leaves) >= 2  # a^(1/2^(n^2-1)) = 16^(1/8)
         assert_family_consistent(order, family, a, n)
 
 
@@ -151,12 +151,12 @@ def test_per_step_square_root_bound():
             bound = a
             for _ in range(n * n - 1):
                 bound = int(bound ** 0.5) if int(bound ** 0.5) ** 2 == bound else int(bound ** 0.5 - 1e-9) + 1
-            assert family.size >= 1
-            assert family.size * family.size >= 1  # sanity
+            assert len(family.leaves) >= 1
+            assert len(family.leaves) * len(family.leaves) >= 1  # sanity
             # direct statement: applying sqrt n^2-1 times
             import math
             needed = a ** (1.0 / (2 ** (n * n - 1)))
-            assert family.size >= math.floor(needed)
+            assert len(family.leaves) >= math.floor(needed)
 
 
 def test_single_leaf_and_single_cell():

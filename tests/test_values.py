@@ -61,7 +61,7 @@ def test_records_are_immutable_tuples():
         report.valid = False
     witness = WitnessReport("crossing_II", (), 2, 2, 0)
     assert witness.trace is None
-    assert LeafFamily((1, 4, 2), {}).size == 3
+    assert len(LeafFamily((1, 4, 2), {}).leaves) == 3
 
 
 def test_graph_equality_and_hash_cover_all_five_fields():
