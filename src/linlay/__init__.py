@@ -1,12 +1,6 @@
 """Linear layouts of graphs: stack/queue verification and lower-bound witnesses."""
 
-from .errors import (
-    FamilyTooSmallError,
-    InternalInvariantError,
-    InvalidParameterError,
-    PreconditionViolationError,
-    ResourceLimitError,
-)
+from .errors import InternalInvariantError, InvalidParameterError, ResourceLimitError
 from .graphs import (
     Graph,
     GridCoord,
@@ -26,7 +20,6 @@ from .hexpath import (
     GridColoring,
     boundary_sequence,
     coloring_from_json,
-    coloring_to_json,
     far_boundary,
     find_monochromatic_path,
     random_coloring,

@@ -1,8 +1,11 @@
 """Command-line surface: gen / verify / solve / hexpath / witness / params.
 
-Exit codes: 0 success, 1 failed verification, 2 bad input, 3 budget or
-build size exceeded, 4 witness scale insufficient; ``main`` maps each error.
-Identical command lines with the same seed produce byte-identical output.
+Exit codes, one meaning each: 0 success; 1 ``verify`` found the layout
+invalid; 2 bad input (an InvalidParameterError or an argparse usage error);
+3 a budget or size limit (a ResourceLimitError), with the bounds known so
+far as one JSON line on stderr; 4 ``witness`` found its path family too
+small (InsufficientScale).  Identical command lines with the same seed
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,14 +17,7 @@ import sys
 import tempfile
 from random import Random
 
-from .errors import (
-    FamilyTooSmallError,
-    InvalidParameterError,
-    PreconditionViolationError,
-    ResourceLimitError,
-    json_int,
-    load_json,
-)
+from .errors import InvalidParameterError, ResourceLimitError, load_json
 from .graphs import graph_from_json, graph_to_json, make_hex_dual, make_star, make_star_hex_product
 from .hexpath import (
     boundary_sequence,
@@ -199,8 +195,8 @@ def _cmd_witness(args) -> int:
         if not isinstance(raw, list) or len(raw) != size:
             raise InvalidParameterError("order file must list every product vertex once")
         try:
-            order = LinearOrder.from_sequence([json_int(v) for v in raw])
-        except (TypeError, ValueError) as exc:
+            order = LinearOrder.from_sequence(raw)
+        except InvalidParameterError as exc:
             raise InvalidParameterError(f"malformed order file: {exc}") from exc
     else:
         _gate_build(size)
@@ -291,14 +287,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParameterError, PreconditionViolationError) as exc:
+    except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as exc:
         return _budget_exceeded(exc.lower, exc.upper)
-    except FamilyTooSmallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCALE
 
 
 def script() -> None:

@@ -1,5 +1,7 @@
 """Shared exception types, and the JSON readers that report malformed
-documents as InvalidParameterError."""
+documents as InvalidParameterError.  The CLI exits 2 on an
+InvalidParameterError and 3 on a ResourceLimitError; an
+InternalInvariantError is a bug, and ends the run with a traceback."""
 
 import json
 
@@ -19,24 +21,6 @@ class ResourceLimitError(RuntimeError):
         super().__init__(message)
         self.lower = lower
         self.upper = upper
-
-
-class PreconditionViolationError(ValueError):
-    """Input data contradicts a structural assumption; names the offender."""
-
-
-class FamilyTooSmallError(Exception):
-    """A path family supports neither the requested chain nor antichain."""
-
-    def __init__(self, longest_chain, largest_antichain, required_c, required_d):
-        super().__init__(
-            f"family supports a chain of {longest_chain} and an antichain of "
-            f"{largest_antichain}; needed {required_c} or {required_d}"
-        )
-        self.longest_chain = longest_chain
-        self.largest_antichain = largest_antichain
-        self.required_c = required_c
-        self.required_d = required_d
 
 
 class InternalInvariantError(AssertionError):

@@ -73,9 +73,6 @@ class Graph:
         """The edges (u, v), u < v, in ascending order."""
         return [(u, w) for u, row in enumerate(self.adjacency) for w in row if u < w]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

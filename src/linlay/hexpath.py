@@ -21,7 +21,6 @@ first component that touches the right or top side.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from random import Random
 from typing import FrozenSet, Iterable, NamedTuple, Optional
@@ -240,10 +239,6 @@ def find_monochromatic_path(coloring: GridColoring) -> list[GridCoord]:
 
 def coloring_to_json_dict(coloring: GridColoring) -> dict:
     return {"n": coloring.n, "rows": [list(r) for r in coloring.rows]}
-
-
-def coloring_to_json(coloring: GridColoring) -> str:
-    return json.dumps(coloring_to_json_dict(coloring), separators=(",", ":"))
 
 
 def coloring_from_json(text: str) -> GridColoring:

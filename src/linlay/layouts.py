@@ -45,7 +45,7 @@ class LinearOrder:
 
     @staticmethod
     def from_sequence(seq: Sequence[int]) -> "LinearOrder":
-        seq = tuple(seq)
+        seq = tuple(map(json_int, seq))
         n = len(seq)
         position = [-1] * n
         for idx, v in enumerate(seq):
@@ -363,7 +363,7 @@ def layout_from_json(text: str) -> Layout:
     doc = load_json(text)
     try:
         kind = doc["kind"]
-        order = LinearOrder.from_sequence(json_int(v) for v in doc["order"])
+        order = LinearOrder.from_sequence(doc["order"])
         colors = {}
         for key, c in doc["colors"].items():
             u, _, v = key.partition("-")

@@ -16,11 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
 
-from .errors import (
-    FamilyTooSmallError,
-    InvalidParameterError,
-    PreconditionViolationError,
-)
+from .errors import InvalidParameterError
 from .layouts import LinearOrder, spans, spans_cross
 
 SEPARATED_LT = "separated_lt"
@@ -88,9 +84,21 @@ class Selection(NamedTuple):
     indices: tuple[int, ...]
 
 
-def chain_or_antichain(fam: PathFamily, c: int, d: int) -> Selection:
+class InsufficientScale(NamedTuple):
+    """The dichotomy's third outcome: a family of b paths whose longest
+    chain and largest antichain fall short of c and d."""
+
+    family_size_b: int
+    longest_chain: int
+    largest_antichain: int
+    required_c: int
+    required_d: int
+
+
+def chain_or_antichain(fam: PathFamily, c: int, d: int) -> Selection | InsufficientScale:
     """A chain of >= c pairwise separated paths, else an antichain of >= d
-    pairwise crossing ones from longest-chain layering.
+    pairwise crossing ones from longest-chain layering, else the sizes
+    that were achievable as InsufficientScale.
 
     Separation is an interval order on path extents, so a path's chain
     depth is one more than the deepest path starting after it ends: one
@@ -98,17 +106,16 @@ def chain_or_antichain(fam: PathFamily, c: int, d: int) -> Selection:
     O(b log b).  Chains are separated by construction.  Of an antichain,
     the d members with the smallest leaves (those a witness uses) are
     checked to cross pairwise; a pair that does not breaks the premise and
-    raises PreconditionViolationError.
+    raises InvalidParameterError.
 
-    Guaranteed to succeed when the family has (c-1)(d-1)+1 members and no
-    pair classifies as neither; otherwise FamilyTooSmallError reports the
-    sizes that were achievable.
+    A Selection is guaranteed when the family has (c-1)(d-1)+1 members and
+    no pair classifies as neither.
     """
     if c < 1 or d < 1:
         raise InvalidParameterError("c and d must be positive")
     b = len(fam.paths)
     if b == 0:
-        raise FamilyTooSmallError(0, 0, c, d)
+        return InsufficientScale(0, 0, 0, c, d)
     extents = [fam.span(i) for i in range(b)]
     by_start = sorted(range(b), key=lambda i: extents[i][0])
     starts = [extents[i][0] for i in by_start]
@@ -138,12 +145,10 @@ def chain_or_antichain(fam: PathFamily, c: int, d: int) -> Selection:
     best_depth = max(layers, key=lambda dep: (len(layers[dep]), -dep))
     antichain = layers[best_depth]
     if len(antichain) < d:
-        raise FamilyTooSmallError(longest, len(antichain), c, d)
+        return InsufficientScale(b, longest, len(antichain), c, d)
     for i, j in combinations(sorted(antichain, key=by_leaf)[:d], 2):
         if classify_pair(fam, i, j) != CROSSING:
-            raise PreconditionViolationError(
-                f"paths {i} and {j} are neither separated nor crossing"
-            )
+            raise InvalidParameterError(f"paths {i} and {j} are neither separated nor crossing")
     return Selection("crossing", tuple(antichain))
 
 

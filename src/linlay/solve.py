@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import NamedTuple, Optional
 
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InternalInvariantError, InvalidParameterError, ResourceLimitError
 from .graphs import Graph
 from .layouts import (
     QUEUE,
@@ -106,9 +106,8 @@ def _solve(g: Graph, budget: SolveBudget, kind: str) -> SolveResult:
             if best_k <= floor:
                 break
 
-    report = verify_layout(g, best_layout)
-    if not report.valid:
-        raise AssertionError("solver produced an invalid layout")
+    if not verify_layout(g, best_layout).valid:
+        raise InternalInvariantError("solver produced an invalid layout")
     return SolveResult(best_k, best_layout, exact, scanned, best_k if exact else floor)
 
 

@@ -14,18 +14,20 @@ per edge of it.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import (
-    FamilyTooSmallError,
-    InternalInvariantError,
-    InvalidParameterError,
-)
+from .errors import InternalInvariantError, InvalidParameterError, ResourceLimitError
 from .graphs import hex_vertex_id, normalize_edge, star_hex_product_has_edge
 from .hexpath import BLUE, RED, GridColoring, find_monochromatic_path
 from .layouts import LinearOrder, is_pairwise_crossing, spans_cross
 from .monotone import INCREASING, consistent_leaf_family
-from .poset import PathFamily, chain_or_antichain, classify_pair, ramsey_upper_bound
+from .poset import (
+    InsufficientScale,
+    PathFamily,
+    chain_or_antichain,
+    classify_pair,
+    ramsey_upper_bound,
+)
 
 CASE_SEPARATED_1 = "separated_I_sub1"
 CASE_SEPARATED_2 = "separated_I_sub2"
@@ -47,11 +49,18 @@ class ScaleParameters(NamedTuple):
     a_digits: int
 
 
+# m = 2 ** (4s^2 - 1) has 4,192 decimal digits at s = 59 and 4,335 at
+# s = 60, more than the 4,300 that Python converts to text by default
+MAX_S = 59
+
+
 def required_parameters(s: int) -> ScaleParameters:
     """Grid size, selection exponent, dichotomy targets and the (never
     materialised) leaf count that guarantee s pairwise crossing edges."""
     if s < 1:
         raise InvalidParameterError("s must be positive")
+    if s > MAX_S:
+        raise ResourceLimitError(f"s = {s} exceeds the limit of {MAX_S}")
     from decimal import Decimal, localcontext  # only `params` needs it
     n = 2 * s
     m = 2 ** (n * n - 1)
@@ -73,14 +82,6 @@ class WitnessReport(NamedTuple):
     chain_or_antichain_size: int
     lower_bound: int
     trace: Optional[dict] = None
-
-
-class InsufficientScale(NamedTuple):
-    family_size_b: int
-    longest_chain: int
-    largest_antichain: int
-    required_c: int
-    required_d: int
 
 
 def case_separated(
@@ -193,7 +194,7 @@ def extract_crossing_witness(
     c: int,
     d: int,
     trace: bool = False,
-) -> Union[WitnessReport, InsufficientScale]:
+) -> WitnessReport | InsufficientScale:
     """Run the full pipeline for one order of the (a, n) product.
 
     Returns a WitnessReport whose edges pairwise cross under ``order``, or
@@ -228,10 +229,9 @@ def extract_crossing_witness(
     if len(paths) > 1 and len(set(slot_direction)) > 1:
         raise InternalInvariantError("grid path vertices disagree on leaf direction")
 
-    try:
-        selection = chain_or_antichain(fam, c, d)
-    except FamilyTooSmallError as exc:
-        return InsufficientScale(len(leaves), exc.longest_chain, exc.largest_antichain, c, d)
+    selection = chain_or_antichain(fam, c, d)
+    if isinstance(selection, InsufficientScale):
+        return selection
 
     if selection.kind == "separated":
         picked = list(selection.indices)[:c]

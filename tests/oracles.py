@@ -11,12 +11,11 @@ from collections import deque
 from itertools import combinations, permutations
 
 from linlay import (
-    FamilyTooSmallError,
     Graph,
     GridCoord,
+    InsufficientScale,
     InvalidParameterError,
     LinearOrder,
-    PreconditionViolationError,
     ProductVertex,
     Selection,
     classify_pair,
@@ -439,16 +438,16 @@ def all_pairs_chain_or_antichain(fam, c, d):
     It classifies pairs with the library's ``classify_pair``, which the
     classification tests check on their own, so that it checks only how
     ``chain_or_antichain`` finds depths, chains and layers: the same
-    Selection, or the same exception with the same sizes.
+    Selection, or the same InsufficientScale.
     """
     b = len(fam.paths)
     if b == 0:
-        raise FamilyTooSmallError(0, 0, c, d)
+        return InsufficientScale(0, 0, 0, c, d)
     after = [[False] * b for _ in range(b)]
     for i, j in combinations(range(b), 2):
         cls = classify_pair(fam, i, j)
         if cls == NEITHER:
-            raise PreconditionViolationError(f"paths {i} and {j} are neither")
+            raise InvalidParameterError(f"paths {i} and {j} are neither")
         after[i][j] = cls == SEPARATED_LT
         after[j][i] = cls == SEPARATED_GT
     depth = [1] * b
@@ -471,7 +470,7 @@ def all_pairs_chain_or_antichain(fam, c, d):
     best = max(layers, key=lambda dep: (len(layers[dep]), -dep))
     if len(layers[best]) >= d:
         return Selection("crossing", tuple(sorted(layers[best])))
-    raise FamilyTooSmallError(longest, len(layers[best]), c, d)
+    return InsufficientScale(b, longest, len(layers[best]), c, d)
 
 
 def find_monochromatic_clique(pair_colors, r, s):

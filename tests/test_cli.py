@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -427,6 +428,23 @@ def test_params_s3():
     proc = run_cli("params", "--s", "3")
     doc = json.loads(proc.stdout)
     assert doc["n"] == 6 and doc["m"] == 2 ** 35
+
+
+def test_params_size_limit(capsys):
+    # m = 2 ** (4s^2 - 1) has 4,192 digits at s = 59, and Python prints at
+    # most 4,300; at s = 60 the run stops before computing m
+    from linlay import cli
+
+    assert cli.main(["params", "--s", "59"]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c22d88272e2fc74e3b8066705c1c9cd5ff9b602cafd29bf990a80f123b669111"
+    )
+    assert err == ""
+    assert cli.main(["params", "--s", "60"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == '{"error":"budget-exceeded","lower":null,"upper":null}\n'
 
 
 # ---------------------------------------------------------------------------

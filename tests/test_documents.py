@@ -1,16 +1,24 @@
-"""The canonical-document fast paths against the general decoders.
+"""The document loaders on valid documents with one fault.
 
 `graph_from_json` builds a hex grid or product in `graph_to_json`'s form
 from its header, and `verify_layout_json` reads a layout in
 `layout_to_json`'s form straight into colour classes.  Each must give what
 the general path gives on every document: the same graph or report, or the
-same error message.  Documents here are canonical ones with one fault.
-Results are compared by repr, because `True == 1` and `1.0 == 1` would let
-a wrongly typed value compare equal.
+same error message.  Results are compared by repr, because `True == 1` and
+`1.0 == 1` would let a wrongly typed value compare equal.
+
+The colouring loader and the order file of `witness --order` have no fast
+path; each must accept a document or refuse it with InvalidParameterError
+(exit 2 and one stderr line), and never fail another way.
 """
 
+import contextlib
+import io
 import json
 import re
+import tempfile
+from pathlib import Path
+from random import Random
 from unittest import mock
 
 import pytest
@@ -20,6 +28,7 @@ from hypothesis import strategies as st
 from linlay import (
     InvalidParameterError,
     Layout,
+    coloring_from_json,
     graph_from_json,
     graph_to_json,
     hex_queue_layout,
@@ -28,10 +37,12 @@ from linlay import (
     make_hex_dual,
     make_star_hex_product,
     product_queue_layout,
+    random_coloring,
     verify_layout,
     verify_layout_json,
 )
-from linlay import graphs, layouts
+from linlay import cli, graphs, layouts
+from linlay.hexpath import coloring_to_json_dict
 
 
 def outcome(fn, *args):
@@ -226,3 +237,102 @@ def test_perturbed_layout_documents_verify_as_on_the_general_path(case, data):
     doc = json.loads(layout_to_json(layout))
     text = spell(data, perturb_layout(data, doc))
     assert outcome(verify_layout_json, g, text) == outcome(general_verify, g, text)
+
+
+# ---------------------------------------------------------------------------
+# colourings and witness orders
+
+def perturb_list(data, items, extra):
+    """One fault in a list: drop, repeat, swap or append an entry."""
+    fault = data.draw(st.sampled_from(["drop", "repeat", "swap", "append"]))
+    if fault == "append" or not items:
+        items.append(extra)
+    elif fault == "drop":
+        del items[data.draw(st.integers(0, len(items) - 1))]
+    elif fault == "repeat":
+        i = data.draw(st.integers(0, len(items) - 1))
+        items.insert(i, items[i])
+    else:
+        i, j = data.draw(st.integers(0, len(items) - 1)), data.draw(st.integers(0, len(items) - 1))
+        items[i], items[j] = items[j], items[i]
+
+
+def perturb_coloring(data, doc):
+    fault = data.draw(st.sampled_from(
+        ["none", "scalar", "scalar", "scalar", "rows", "row", "row-as-text", "drop-key",
+         "reorder-keys", "not-an-object"]
+    ))
+    rows = doc["rows"]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    if fault == "scalar":
+        container, key = data.draw(st.sampled_from(scalar_slots(doc)))
+        container[key] = data.draw(replacement(container[key]))
+    elif fault == "rows":
+        perturb_list(data, rows, list(rows[0]))
+    elif fault == "row":
+        perturb_list(data, rows[i], "R")
+    elif fault == "row-as-text":
+        rows[i] = "".join(rows[i])
+    elif fault == "drop-key":
+        del doc[data.draw(st.sampled_from(["n", "rows"]))]
+    elif fault == "reorder-keys":
+        doc = {key: doc[key] for key in reversed(list(doc))}
+    elif fault == "not-an-object":
+        doc = data.draw(st.sampled_from([rows, doc["n"], None]))
+    return doc
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 4), st.integers(0, 9), st.data())
+def test_perturbed_colourings_load_or_are_refused(n, seed, data):
+    doc = coloring_to_json_dict(random_coloring(n, Random(seed)))
+    text = spell(data, perturb_coloring(data, doc))
+    try:
+        coloring_from_json(text)
+    except InvalidParameterError:
+        pass
+
+
+WITNESS_SIZES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]
+
+
+def perturb_order(data, order):
+    fault = data.draw(st.sampled_from(
+        ["none", "scalar", "scalar", "scalar", "entries", "nested", "object", "object-key",
+         "not-a-list"]
+    ))
+    if fault == "scalar":
+        i = data.draw(st.integers(0, len(order) - 1))
+        order[i] = data.draw(replacement(order[i]))
+    elif fault == "entries":
+        perturb_list(data, order, len(order))
+    elif fault == "nested":
+        order[data.draw(st.integers(0, len(order) - 1))] = [0]
+    elif fault == "object":
+        return {"order": order}
+    elif fault == "object-key":
+        return {data.draw(st.sampled_from(["Order", "orders", ""])): order}
+    elif fault == "not-a-list":
+        return data.draw(st.sampled_from([None, 0, "0", {}]))
+    return order
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(WITNESS_SIZES), st.integers(0, 9), st.data())
+def test_perturbed_witness_orders_run_or_exit_2(size, seed, data):
+    a, n = size
+    order = list(range((a + 1) * n * n))
+    Random(seed).shuffle(order)
+    text = spell(data, perturb_order(data, order))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "order.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["witness", "--a", str(a), "--n", str(n), "--c", "2", "--d", "2",
+                             "--order", str(path)])
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 4) and err.getvalue() == ""

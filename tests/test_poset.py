@@ -6,12 +6,11 @@ import pytest
 import linlay.poset
 from linlay import (
     INCREASING,
-    FamilyTooSmallError,
     GridColoring,
+    InsufficientScale,
     InvalidParameterError,
     LinearOrder,
     PathFamily,
-    PreconditionViolationError,
     chain_or_antichain,
     classify_pair,
     consistent_leaf_family,
@@ -174,15 +173,15 @@ def test_chain_or_antichain_never_fails_at_threshold():
 
 def test_family_too_small_reports_sizes():
     fam = family_from_positions([[0, 1], [2, 3]])
-    with pytest.raises(FamilyTooSmallError) as err:
-        chain_or_antichain(fam, 5, 5)
-    assert err.value.longest_chain == 2
-    assert err.value.required_c == 5
+    outcome = chain_or_antichain(fam, 5, 5)
+    assert isinstance(outcome, InsufficientScale)
+    assert outcome.longest_chain == 2
+    assert outcome.required_c == 5
 
 
 def test_neither_pair_raises_precondition_violation():
     fam = family_from_positions([[1, 2], [0, 3]])
-    with pytest.raises(PreconditionViolationError) as err:
+    with pytest.raises(InvalidParameterError) as err:
         chain_or_antichain(fam, 2, 2)
     assert "0" in str(err.value) and "1" in str(err.value)
 
@@ -200,14 +199,6 @@ def test_chain_tie_break_prefers_small_leaves():
 
 # ---------------------------------------------------------------------------
 # agreement with the all-pairs dichotomy, and no all-pairs work
-
-def outcome(dichotomy, fam, c, d):
-    """The Selection, or the sizes a FamilyTooSmallError reports."""
-    try:
-        return dichotomy(fam, c, d)
-    except FamilyTooSmallError as exc:
-        return exc.longest_chain, exc.largest_antichain, exc.required_c, exc.required_d
-
 
 def witness_family(a, n, order):
     """The path family that extract_crossing_witness classifies for order."""
@@ -229,8 +220,8 @@ def test_matches_all_pairs_dichotomy_on_random_families():
         fam = uniform_random_family(rng, b, rng.randint(1, 5))
         if trial % 2:  # leaves out of index order exercise the tie-breaks
             fam = PathFamily(fam.paths, fam.order, tuple(rng.sample(range(1, 4 * b), b)))
-        expected = outcome(all_pairs_chain_or_antichain, fam, c, d)
-        assert outcome(chain_or_antichain, fam, c, d) == expected
+        expected = all_pairs_chain_or_antichain(fam, c, d)
+        assert chain_or_antichain(fam, c, d) == expected
 
 
 @pytest.mark.parametrize("a", [16, 64, 256])
@@ -245,8 +236,8 @@ def test_matches_all_pairs_dichotomy_on_witness_families(a):
         fam = witness_family(a, n, order)
         b = len(fam.paths)
         for c, d in ((1, 1), (2, 8), (3, 3), (b, 2), (b + 1, b), (b + 1, b + 1)):
-            expected = outcome(all_pairs_chain_or_antichain, fam, c, d)
-            assert outcome(chain_or_antichain, fam, c, d) == expected
+            expected = all_pairs_chain_or_antichain(fam, c, d)
+            assert chain_or_antichain(fam, c, d) == expected
 
 
 def test_block_family_classifies_only_the_printed_antichain(monkeypatch):

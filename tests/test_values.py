@@ -100,6 +100,9 @@ def test_linear_order_equality_and_hash_look_at_the_sequence_only():
     assert identity_order(3) == LinearOrder.from_sequence(range(3))
     with pytest.raises(AttributeError):
         order.label = "no room for new attributes"
+    for seq in ([True, 0], [0.0, 1], ["0", 1]):
+        with pytest.raises(InvalidParameterError, match="is not an integer"):
+            LinearOrder.from_sequence(seq)
 
 
 def test_grid_coloring_checks_its_rows():
