@@ -18,7 +18,15 @@ import tempfile
 from random import Random
 
 from .errors import InvalidParameterError, ResourceLimitError, load_json
-from .graphs import graph_from_json, graph_to_json, make_hex_dual, make_star, make_star_hex_product
+from .graphs import (
+    PairTexts,
+    blocks,
+    graph_from_json,
+    graph_to_json,
+    make_hex_dual,
+    make_star,
+    make_star_hex_product,
+)
 from .hexpath import (
     boundary_sequence,
     coloring_from_json,
@@ -127,8 +135,11 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     g = graph_from_json(_read(args.graph))
     report = verify_layout_json(g, _read(args.layout))
-    # the violations as _dump would print them, pairs of edges [[u,v],[x,y]]
-    pairs = ",".join([f"[[{u},{v}],[{x},{y}]]" for (u, v), (x, y) in report.violations])
+    # the violations as _dump would print them, pairs of edges [[u,v],[x,y]],
+    # each distinct edge formatted once and the pairs joined in runs
+    edges = PairTexts()
+    pairs = ",".join([",".join([f"[{edges[e]},{edges[f]}]" for e, f in run])
+                      for _, run in blocks(report.violations)])
     _emit(f'{{"valid":{_dump(report.valid)},"violations":[{pairs}]}}', args.output)
     return EXIT_OK if report.valid else EXIT_INVALID
 
@@ -161,11 +172,8 @@ def _cmd_hexpath(args) -> int:
         _gate_build(args.n * args.n)
         coloring = random_coloring(args.n, Random(args.seed))
     path = find_monochromatic_path(coloring)
-    doc = {
-        "n": coloring.n,
-        "color": coloring.color(path[0]),
-        "path": [[c.a, c.b] for c in path],
-    }
+    # a GridCoord, being a tuple, prints as the array [a, b]
+    doc = {"n": coloring.n, "color": coloring.color(path[0]), "path": path}
     if args.random:
         doc["coloring"] = coloring_to_json_dict(coloring)
     if args.trace:
@@ -173,10 +181,8 @@ def _cmd_hexpath(args) -> int:
         doc["steps"] = [
             {
                 "color": step.color,
-                "component": [[c.a, c.b] for c in sorted(step.component)],
-                "far_boundary": None
-                if step.far_boundary is None
-                else [[c.a, c.b] for c in sorted(step.far_boundary)],
+                "component": sorted(step.component),
+                "far_boundary": None if step.far_boundary is None else sorted(step.far_boundary),
             }
             for step in steps
         ]

@@ -11,6 +11,7 @@ import json
 import re
 from collections import deque
 from functools import cached_property, lru_cache
+from itertools import product, starmap
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidParameterError, json_int, load_json
@@ -118,7 +119,8 @@ def hex_neighbours(n: int) -> tuple[tuple[int, ...], ...]:
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
     cells = n * n
-    table = [(v - n - 1, v - n, v - 1, v + 1, v + n, v + n + 1) for v in range(cells)]
+    table = list(zip(range(-n - 1, cells - n - 1), range(-n, cells - n), range(-1, cells - 1),
+                     range(1, cells + 1), range(n, cells + n), range(n + 1, cells + n + 1)))
     for v in {*range(n), *range(cells - n, cells), *range(0, cells, n), *range(n - 1, cells, n)}:
         left, right, down, up = v % n > 0, v % n < n - 1, v >= n, v < cells - n
         inside = (down and left, down, left, right, up, up and right)
@@ -134,7 +136,7 @@ def make_hex_dual(n: int) -> Graph:
     diagonal, for 3n^2 - 4n + 1 edges in total.
     """
     table = hex_neighbours(n)
-    labels = tuple(hex_coord(v, n) for v in range(n * n))
+    labels = tuple([GridCoord(a, b) for b in range(1, n + 1) for a in range(1, n + 1)])
     return Graph("hex", labels, table, hex_n=n)
 
 
@@ -159,7 +161,7 @@ def make_star_hex_product(a: int, n: int) -> Graph:
     rows = [nbrs + tuple(range(y + cells, size, cells)) for y, nbrs in enumerate(table)]
     for base in range(cells, size, cells):
         rows += [(y, *[base + w for w in nbrs]) for y, nbrs in enumerate(table)]
-    labels = tuple(ProductVertex(part, cell) for part in star.labels for cell in grid.labels)
+    labels = tuple(starmap(ProductVertex, product(star.labels, grid.labels)))
     return Graph("product", labels, tuple(rows), hex_n=n, star_a=a)
 
 
@@ -205,35 +207,56 @@ def shortest_path(
 # ---------------------------------------------------------------------------
 # JSON form: {"kind": ..., "n"/"a": ..., "vertices": [{"id", "label"}], "edges": [[u,v],...]}
 
+# items (vertices, adjacency rows, violations) per run of a document written
+# or read in pieces
+_CHUNK = 2048
+
+
+class PairTexts(dict):
+    """The text of each value met so far, made once: a pair (a grid
+    coordinate, an edge) as [a,b], as JSON and DOT both print it, and any
+    other value (a star part) by ``other``."""
+
+    def __init__(self, other=str):
+        super().__init__()
+        self.other = other
+
+    def __missing__(self, key):
+        text = self[key] = f"[{key[0]},{key[1]}]" if isinstance(key, tuple) else self.other(key)
+        return text
+
+
+def blocks(items):
+    """(index of the first, run) for each run of at most _CHUNK items."""
+    return ((lo, items[lo:lo + _CHUNK]) for lo in range(0, len(items), _CHUNK))
+
+
 def _json_pieces(g: Graph):
-    """graph_to_json's text, in order: the header, one piece per vertex and
-    one per row's edges (u, w), u < w.  Hex, star and product labels are
-    (named tuples of) ints and "t" and print as arrays; a plain graph's
-    tuple labels, those of generic products, print as the vertex id."""
-    if g.kind == "plain":
-        texts = [str(label if isinstance(label, int) else i) for i, label in enumerate(g.labels)]
-    else:
-        memo = {}  # a product repeats each cell and star part many times
-
-        def text(label) -> str:
-            out = memo.get(label)
-            if out is None:
-                parts = isinstance(label, tuple)
-                out = f"[{','.join(map(text, label))}]" if parts else json.dumps(label)
-                memo[label] = out
-            return out
-
-        texts = map(text, g.labels)
+    """graph_to_json's text, in order: the header, then the vertices and
+    the edges (u, w), u < w, in pieces of at most _CHUNK vertices or
+    adjacency rows.  A grid cell's label prints as [a,b], a star part as
+    "t" or its index and a product vertex's as [part,[a,b]], each text made
+    once; a plain graph's labels print as themselves if ints, else (the
+    tuples of generic products) as the vertex id."""
     sizes = "".join(
         f',"{key}":{size}' for key, size in (("n", g.hex_n), ("a", g.star_a)) if size is not None
     )
     yield f'{{"kind":{json.dumps(g.kind)}{sizes},"vertices":['
-    for i, t in enumerate(texts):
-        yield f'{"," if i else ""}{{"id":{i},"label":{t}}}'
+    texts = PairTexts(json.dumps)
+    for lo, labels in blocks(g.labels):
+        if g.kind == "product":
+            labels = [f"[{texts[part]},{texts[cell]}]" for part, cell in labels]
+        elif g.kind == "plain":
+            labels = [x if isinstance(x, int) else i for i, x in enumerate(labels, lo)]
+        else:
+            labels = map(texts.__getitem__, labels)
+        vertices = ",".join([f'{{"id":{i},"label":{t}}}' for i, t in enumerate(labels, lo)])
+        yield f",{vertices}" if lo else vertices
     yield '],"edges":['
-    sep = ""
-    for u, row in enumerate(g.adjacency):
-        later = ",".join([f"[{u},{w}]" for w in row if u < w])
+    sep, ids = "", list(map(str, range(len(g.adjacency))))  # each id formatted once
+    for lo, rows in blocks(g.adjacency):
+        later = ",".join([f"[{ids[u]},{ids[w]}]" for u, row in enumerate(rows, lo)
+                          for w in row if u < w])
         if later:
             yield sep + later
             sep = ","
@@ -256,7 +279,8 @@ _MIN_VERTEX_BYTES = 20  # graph_to_json spends more on a hex or product vertex
 def _canonical_graph(text: str) -> Optional[Graph]:
     """The hex grid or product whose graph_to_json text is ``text``, at most
     one newline after it, built from the header's sizes (unless the text
-    could not hold that graph) and compared piece by piece; else None."""
+    could not hold that graph) and compared with the writer's pieces in
+    place, one at a time; else None."""
     header = _CANONICAL_HEADER.match(text)
     if header is None:
         return None

@@ -22,11 +22,12 @@ first component that touches the right or top side.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from random import Random
 from typing import FrozenSet, Iterable, NamedTuple, Optional
 
 from .errors import InternalInvariantError, InvalidParameterError, json_int, load_json
-from .graphs import GridCoord, hex_coord, hex_neighbours, hex_vertex_id
+from .graphs import GridCoord, hex_coord, hex_neighbours, hex_vertex_id, make_hex_dual
 
 RED = "R"
 BLUE = "B"
@@ -40,7 +41,7 @@ class GridColoring:
             raise InvalidParameterError("n must be positive")
         if len(rows) != n or any(len(r) != n for r in rows):
             raise InvalidParameterError("colouring must cover the full grid")
-        if any(c not in (RED, BLUE) for r in rows for c in r):
+        if sum(r.count(RED) + r.count(BLUE) for r in rows) != n * n:
             raise InvalidParameterError("colours must be 'R' or 'B'")
         self.n, self.rows = n, rows
 
@@ -77,23 +78,30 @@ class BoundaryStep(NamedTuple):
     far_boundary: Optional[FrozenSet[GridCoord]]
 
 
-def _label(nbrs, key) -> tuple[list[int], list[list[int]]]:
+def _label(nbrs, key) -> tuple[list[int], list[list[int]], set[tuple[int, int]]]:
     """Maximal connected pieces of cells with equal ``key``, found by one
-    row-major scan: the piece number of every cell, and each piece's
-    cells in breadth-first order."""
+    row-major scan: the piece number of every cell, each piece's cells in
+    breadth-first order, and the links (p, q), p < q, between pieces that
+    touch, gathered as piece q meets the pieces labelled before it."""
     label = [-1] * len(key)
-    pieces = []
+    pieces, links = [], set()
     for s in range(len(key)):
         if label[s] < 0:
             here, piece, k = key[s], [s], len(pieces)
             label[s] = k
+            met = set()
             for v in piece:  # grows while it is read
                 for w in nbrs[v]:
-                    if label[w] < 0 and key[w] == here:
-                        label[w] = k
-                        piece.append(w)
+                    p = label[w]
+                    if p < 0:
+                        if key[w] == here:
+                            label[w] = k
+                            piece.append(w)
+                    elif p != k:
+                        met.add(p)
+            links.update(zip(met, repeat(k)))
             pieces.append(piece)
-    return label, pieces
+    return label, pieces, links
 
 
 def _is_connected(nbrs, cells) -> bool:
@@ -125,7 +133,7 @@ def far_boundary(n: int, x: Iterable[GridCoord]) -> FrozenSet[GridCoord]:
         raise InvalidParameterError("the set must avoid the [n,n] corner")
     if not x_ids:
         raise InvalidParameterError("the set must be nonempty")
-    label, _ = _label(nbrs, [v in x_ids for v in range(n * n)])
+    label = _label(nbrs, [v in x_ids for v in range(n * n)])[0]
     if len({label[v] for v in x_ids}) != 1:
         raise InvalidParameterError("the set must induce a connected subgraph")
     boundary = {w for v in x_ids for w in nbrs[v] if label[w] == label[corner]}
@@ -141,9 +149,7 @@ def _walk(coloring: GridColoring) -> tuple[list[int], list[tuple[list[int], Opti
     the terminal step."""
     n = coloring.n
     nbrs = hex_neighbours(n)
-    label, components = _label(nbrs, [c for row in coloring.rows for c in row])
-    links = {(label[v], label[w]) for v in range(n * n) for w in nbrs[v]
-             if label[v] < label[w]}
+    label, components, links = _label(nbrs, [c for row in coloring.rows for c in row])
     if len(links) != len(components) - 1:
         raise InternalInvariantError("monochromatic components do not form a tree")
     tree = [[] for _ in components]
@@ -182,10 +188,10 @@ def boundary_sequence(coloring: GridColoring) -> list[BoundaryStep]:
     """Alternating monochromatic components from [1,1] up to the first one
     that touches the right or top side; the terminal step has no far
     boundary recorded."""
-    n = coloring.n
+    n, coords = coloring.n, make_hex_dual(coloring.n).labels
 
     def as_coords(ids) -> FrozenSet[GridCoord]:
-        return frozenset(hex_coord(v, n) for v in ids)
+        return frozenset(map(coords.__getitem__, ids))
 
     return [
         BoundaryStep(
@@ -244,8 +250,9 @@ def coloring_to_json_dict(coloring: GridColoring) -> dict:
 def coloring_from_json(text: str) -> GridColoring:
     doc = load_json(text)
     try:
-        n = json_int(doc["n"])
-        rows = tuple(tuple(str(c) for c in row) for row in doc["rows"])
+        n, rows = json_int(doc["n"]), doc["rows"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed colouring document: {exc}") from exc
-    return GridColoring(n, rows)
+    if type(rows) is not list or not all(type(row) is list for row in rows):
+        raise InvalidParameterError("colouring rows must be lists of 'R' and 'B'")
+    return GridColoring(n, tuple(map(tuple, rows)))

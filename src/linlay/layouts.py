@@ -17,10 +17,13 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from itertools import chain, islice
+from operator import gt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError, json_int, load_json
-from .graphs import Graph, normalize_edge
+from .graphs import Graph, blocks, normalize_edge
 from .monotone import patience_piles
 
 STACK = "stack"
@@ -170,15 +173,6 @@ class VerifyReport(NamedTuple):
     violations: list
 
 
-def _rainbow_piles(span_list: list) -> tuple[list[int], list[int]]:
-    """The span indices in (left, right) order, and each one's patience
-    pile on negated right ends: the length of the longest rainbow (chain
-    of pairwise nested spans) strictly around it.  Equal left ends keep
-    their right ends ascending, so they never pile on one another."""
-    by_span = sorted(range(len(span_list)), key=span_list.__getitem__)
-    return by_span, patience_piles([-span_list[i][1] for i in by_span])
-
-
 def _has_crossing(span_list: list) -> bool:
     # in (left, -right) order the open right ends form a stack, nearest on
     # top; once those up to the left end close, a top end inside crosses
@@ -192,19 +186,36 @@ def _has_crossing(span_list: list) -> bool:
     return False
 
 
+def _has_nesting(span_list: list) -> bool:
+    # in (left, right) order a span nests inside an earlier one iff some
+    # right end is smaller than the one before it
+    ends = [b for _, b in sorted(span_list)]
+    return any(map(gt, ends, islice(ends, 1, None)))
+
+
 def _sweep(kind: str, order: LinearOrder, classes: dict) -> VerifyReport:
     """The report on colour classes, each a list of ascending edges; only
-    a class that crosses (stack) or has a nonzero rainbow pile (queue)
-    has its pairs listed."""
-    violations = []
+    a class that crosses (stack) or nests (queue) has its pairs listed.
+    The edges of those classes are numbered in ascending order, so each
+    pair (i, j) is the integer i * m + j and one integer sort puts the
+    pairs in order."""
+    bad = []
     for c in sorted(classes):
         edges = classes[c]
         span_list = spans(order, edges)
-        if (_has_crossing(span_list) if kind == STACK else any(_rainbow_piles(span_list)[1])):
-            violations.extend((edges[i], edges[j])
-                              for i, j in _overlapping_pairs(span_list, kind == STACK))
-    violations.sort()
-    return VerifyReport(not violations, violations)
+        if _has_crossing(span_list) if kind == STACK else _has_nesting(span_list):
+            bad.append((edges, span_list))
+    if not bad:
+        return VerifyReport(True, [])
+    ranked = sorted(chain.from_iterable(edges for edges, _ in bad))  # ascending runs, merged
+    m = len(ranked)
+    rank = dict(zip(ranked, range(m)))
+    keys = []
+    for edges, span_list in bad:
+        at = [rank[e] for e in edges]
+        keys += [at[i] * m + at[j] for i, j in _overlapping_pairs(span_list, kind == STACK)]
+    keys.sort()
+    return VerifyReport(False, [(ranked[k // m], ranked[k % m]) for k in keys])
 
 
 def verify_layout(g: Graph, layout: Layout) -> VerifyReport:
@@ -343,7 +354,12 @@ def min_queue_colors_for_order(g: Graph, order: LinearOrder):
     if len(order) != g.vertex_count:
         raise InvalidParameterError("order must cover the graph's vertices")
     edges = g.edge_list()
-    by_span, piles = _rainbow_piles(spans(order, edges))
+    span_list = spans(order, edges)
+    # in (left, right) order, an edge's patience pile on negated right ends
+    # is the longest rainbow strictly around it; equal left ends keep their
+    # right ends ascending, so they never pile on one another
+    by_span = sorted(range(len(edges)), key=span_list.__getitem__)
+    piles = patience_piles([-span_list[i][1] for i in by_span])
     coloring = EdgeColoring.from_colors({edges[i]: p for i, p in zip(by_span, piles)})
     return coloring.k, coloring
 
@@ -382,15 +398,18 @@ def layout_from_json(text: str) -> Layout:
     return Layout(kind, order, EdgeColoring.from_colors(colors))
 
 
-# layout_to_json's text up to the first colour key, and one colour value
+# layout_to_json's text up to the first colour key, and the end of a key
+# with the colour after it
 _CANONICAL_HEAD = re.compile(r'\{"kind":"(stack|queue)","order":(\[[0-9,]*\]),"colors":\{')
-_COLOUR = re.compile(r"(?:0|[1-9][0-9]*)(?=[,}])")
+_COLOUR = re.compile(r'":(0|[1-9][0-9]*)(?=[,}])')
 
 
 def _canonical_classes(g: Graph, text: str):
     """The kind, order and colour classes of a document in layout_to_json's
-    form whose colour keys are g's edges in ascending order, read in one
-    pass over the edges; None for any other text."""
+    form whose colour keys are g's edges in ascending order; None for any
+    other text.  For each run of adjacency rows, the colours up to the one
+    after the run's last key are read in one scan, and the run is checked
+    by writing its keys with those colours and comparing the text in place."""
     head = _CANONICAL_HEAD.match(text)
     if head is None:
         return None
@@ -400,17 +419,27 @@ def _canonical_classes(g: Graph, text: str):
         return None
     if len(order) != g.vertex_count:
         return None
-    classes: dict[str, list] = {}
-    pos, sep = head.end(), ""
-    for u, row in enumerate(g.adjacency):  # the ascending edges, with no list of them
-        for w in row:
-            if u < w:
-                key = f'{sep}"{u}-{w}":'
-                colour = _COLOUR.match(text, pos + len(key))
-                if colour is None or not text.startswith(key, pos):
-                    return None
-                classes.setdefault(colour[0], []).append((u, w))
-                pos, sep = colour.end(), ","
+    ids = list(map(str, range(len(order))))
+    classes: dict[str, list] = defaultdict(list)
+    pos = head.end()
+    for lo, rows in blocks(g.adjacency):
+        edges = [(u, w) for u, row in enumerate(rows, lo) for w in row if u < w]
+        if not edges:
+            continue
+        # a key found in the wrong place only fails the comparison below
+        last = '"{}-{}'.format(*edges[-1])
+        end = _COLOUR.match(text, text.find(last, pos) + len(last))
+        tones = _COLOUR.findall(text, pos, end.end() + 1) if end else []
+        if len(tones) != len(edges):
+            return None
+        piece = ",".join([f'"{ids[u]}-{ids[w]}":{c}' for (u, w), c in zip(edges, tones)])
+        if pos > head.end():
+            piece = "," + piece
+        if not text.startswith(piece, pos):
+            return None
+        pos += len(piece)
+        for e, c in zip(edges, tones):
+            classes[c].append(e)
     if text[pos:] not in ("}}", "}}\n"):
         return None
     return head[1], order, {int(c): edges for c, edges in classes.items()}

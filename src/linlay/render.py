@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import Graph, GridCoord, ProductVertex
+from .graphs import Graph, PairTexts, blocks
 from .layouts import Layout
 
 PALETTE = (
@@ -19,25 +19,27 @@ PALETTE = (
 )
 
 
-def _label_text(label) -> str:
-    if isinstance(label, GridCoord):
-        return f"[{label.a},{label.b}]"
-    if isinstance(label, ProductVertex):
-        return f"({label.star_part},[{label.grid_part.a},{label.grid_part.b}])"
-    return str(label)
-
-
 def graph_to_dot(g: Graph, layout: Optional[Layout] = None) -> str:
-    """Undirected DOT text; with a layout, edges are coloured by class."""
-    lines = ["graph G {"]
-    for i, label in enumerate(g.labels):
-        lines.append(f'  {i} [label="{_label_text(label)}"];')
-    colors = layout.coloring.colors if layout is not None else {}
-    for u, v in g.edge_list():
-        if (u, v) in colors:
-            tone = PALETTE[colors[(u, v)] % len(PALETTE)]
-            lines.append(f'  {u} -- {v} [color="{tone}"];')
-        else:
-            lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Undirected DOT text; with a layout, edges are coloured by class.
+    A grid cell's label prints as [a,b] and a product vertex's as
+    (part,[a,b]), each cell's text made once; any other label as itself.
+    The lines are joined in runs of at most graphs' chunk of vertices or
+    adjacency rows."""
+    texts, pieces = PairTexts(), ["graph G {"]
+    for lo, labels in blocks(g.labels):
+        if g.kind == "product":
+            labels = [f"({texts[part]},{texts[cell]})" for part, cell in labels]
+        elif g.kind == "hex":
+            labels = map(texts.__getitem__, labels)
+        pieces.append("\n".join([f'  {i} [label="{t}"];' for i, t in enumerate(labels, lo)]))
+    tones = {} if layout is None else {
+        e: f' [color="{PALETTE[c % len(PALETTE)]}"]' for e, c in layout.coloring.colors.items()
+    }
+    ids = list(map(str, range(len(g.adjacency))))  # each id formatted once
+    for lo, rows in blocks(g.adjacency):
+        pieces.append("\n".join([
+            f"  {ids[u]} -- {ids[w]}{tones.get((u, w), '')};" if tones else f"  {ids[u]} -- {ids[w]};"
+            for u, row in enumerate(rows, lo) for w in row if u < w
+        ]))
+    pieces.append("}\n")
+    return "\n".join(filter(None, pieces))

@@ -7,6 +7,7 @@ the library paths they check.  The two exceptions, ``scan_layout_number``
 and ``all_pairs_chain_or_antichain``, say why in their docstrings.
 """
 
+import json
 from collections import deque
 from itertools import combinations, permutations
 
@@ -26,6 +27,7 @@ from linlay import (
     plain_graph,
 )
 from linlay.poset import NEITHER, SEPARATED_GT, SEPARATED_LT
+from linlay.render import PALETTE
 
 
 def complete_graph(n):
@@ -172,6 +174,64 @@ def graph_json_dict(g):
     doc["vertices"] = [{"id": i, "label": label(i, x)} for i, x in enumerate(g.labels)]
     doc["edges"] = [list(e) for e in sorted(g.edges)]
     return doc
+
+
+def reference_graph_json(g):
+    """graph_to_json's text, written one piece per vertex and per row: the
+    labels by a memo over whole labels that recurses into tuples, each
+    vertex and each row's edges formatted and joined on their own."""
+    if g.kind == "plain":
+        texts = [str(label if isinstance(label, int) else i) for i, label in enumerate(g.labels)]
+    else:
+        memo = {}
+
+        def text(label):
+            out = memo.get(label)
+            if out is None:
+                parts = isinstance(label, tuple)
+                out = f"[{','.join(map(text, label))}]" if parts else json.dumps(label)
+                memo[label] = out
+            return out
+
+        texts = map(text, g.labels)
+    sizes = "".join(
+        f',"{key}":{size}' for key, size in (("n", g.hex_n), ("a", g.star_a)) if size is not None
+    )
+    pieces = [f'{{"kind":{json.dumps(g.kind)}{sizes},"vertices":[']
+    for i, t in enumerate(texts):
+        pieces.append(f'{"," if i else ""}{{"id":{i},"label":{t}}}')
+    pieces.append('],"edges":[')
+    sep = ""
+    for u, row in enumerate(g.adjacency):
+        later = ",".join([f"[{u},{w}]" for w in row if u < w])
+        if later:
+            pieces.append(sep + later)
+            sep = ","
+    pieces.append("]}")
+    return "".join(pieces)
+
+
+def reference_graph_to_dot(g, layout=None):
+    """graph_to_dot's text, one line per vertex and per edge, each label
+    formatted by its type."""
+    def label_text(label):
+        if isinstance(label, GridCoord):
+            return f"[{label.a},{label.b}]"
+        if isinstance(label, ProductVertex):
+            return f"({label.star_part},[{label.grid_part.a},{label.grid_part.b}])"
+        return str(label)
+
+    lines = ["graph G {"]
+    for i, label in enumerate(g.labels):
+        lines.append(f'  {i} [label="{label_text(label)}"];')
+    colors = layout.coloring.colors if layout is not None else {}
+    for u, v in sorted(g.edges):
+        if (u, v) in colors:
+            lines.append(f'  {u} -- {v} [color="{PALETTE[colors[(u, v)] % len(PALETTE)]}"];')
+        else:
+            lines.append(f"  {u} -- {v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def layout_json_dict(layout):
@@ -385,6 +445,13 @@ def longest_monochromatic_path(coloring):
             for v in sorted(members):
                 dfs(v, {v}, 1)
     return best
+
+
+def component_links(nbrs, label):
+    """The pairs (p, q), p < q, of pieces with touching cells, by one pass
+    over every cell and its neighbours after the labelling."""
+    return {(label[v], label[w]) for v in range(len(label)) for w in nbrs[v]
+            if label[v] < label[w]}
 
 
 def random_tree(rng, n):

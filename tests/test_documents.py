@@ -14,6 +14,7 @@ path; each must accept a document or refuse it with InvalidParameterError
 
 import contextlib
 import io
+import itertools
 import json
 import re
 import tempfile
@@ -119,14 +120,19 @@ def spell(data, doc):
 # ---------------------------------------------------------------------------
 # graphs
 
+CHUNKS = [1, 2, 3, graphs._CHUNK]  # runs of a few vertices or rows, and the default
+
+
 @pytest.mark.parametrize("kind, a, n", SMALL)
 def test_canonical_graph_documents_take_the_fast_path(kind, a, n):
     g = small_graph(kind, a, n)
     text = graph_to_json(g)
-    for spelled in (text, text + "\n"):
-        assert graphs._canonical_graph(spelled) is g
-    assert graphs._canonical_graph(text + "\n\n") is None
-    assert graphs._canonical_graph(text + " ") is None
+    for chunk in CHUNKS:
+        with mock.patch.object(graphs, "_CHUNK", chunk):
+            for spelled in (text, text + "\n"):
+                assert graphs._canonical_graph(spelled) is g
+            assert graphs._canonical_graph(text + "\n\n") is None
+            assert graphs._canonical_graph(text + " ") is None
 
 
 def perturb_graph(data, doc):
@@ -158,12 +164,21 @@ def perturb_graph(data, doc):
     return doc
 
 
+def small_chunks(data):
+    """graphs' run length cut to a few vertices or rows, so that a small
+    document spans several runs and a fault may sit at a boundary between
+    them or in the last one."""
+    return mock.patch.object(graphs, "_CHUNK", data.draw(st.sampled_from(CHUNKS[:3])))
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.sampled_from(SMALL), st.data())
 def test_perturbed_graph_documents_decode_as_on_the_general_path(params, data):
     doc = json.loads(graph_to_json(small_graph(*params)))
     text = spell(data, perturb_graph(data, doc))
-    assert outcome(lambda t: graph_key(graph_from_json(t)), text) == outcome(general_graph, text)
+    with small_chunks(data):
+        fast = outcome(lambda t: graph_key(graph_from_json(t)), text)
+    assert fast == outcome(general_graph, text)
 
 
 def test_oversized_header_is_not_built():
@@ -186,13 +201,14 @@ def small_layouts():
 
 
 def test_canonical_layout_documents_take_the_fast_path():
-    for g, layout in small_layouts():
+    for (g, layout), chunk in itertools.product(small_layouts(), CHUNKS):
         text = layout_to_json(layout)
-        for spelled in (text, text + "\n"):
-            kind, order, classes = layouts._canonical_classes(g, spelled)
-            assert (kind, order) == (layout.kind, layout.order)
-            assert verify_layout_json(g, spelled) == verify_layout(g, layout)
-        assert layouts._canonical_classes(g, text + "\n\n") is None
+        with mock.patch.object(graphs, "_CHUNK", chunk):
+            for spelled in (text, text + "\n"):
+                kind, order, classes = layouts._canonical_classes(g, spelled)
+                assert (kind, order) == (layout.kind, layout.order)
+                assert verify_layout_json(g, spelled) == verify_layout(g, layout)
+            assert layouts._canonical_classes(g, text + "\n\n") is None
 
 
 def perturb_layout(data, doc):
@@ -236,7 +252,9 @@ def test_perturbed_layout_documents_verify_as_on_the_general_path(case, data):
     g, layout = case
     doc = json.loads(layout_to_json(layout))
     text = spell(data, perturb_layout(data, doc))
-    assert outcome(verify_layout_json, g, text) == outcome(general_verify, g, text)
+    with small_chunks(data):
+        fast = outcome(verify_layout_json, g, text)
+    assert fast == outcome(general_verify, g, text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,18 @@ from linlay import (
     plain_graph,
     shortest_path,
 )
+from linlay import graph_to_dot, hex_queue_layout, product_queue_layout
+from linlay import graphs as graphs_module
 from linlay.graphs import star_hex_product_has_edge
 
-from oracles import cartesian_product, complete_graph, connected_components, graph_json_dict
+from oracles import (
+    cartesian_product,
+    complete_graph,
+    connected_components,
+    graph_json_dict,
+    reference_graph_json,
+    reference_graph_to_dot,
+)
 
 
 def hex_edge_oracle(p, q):
@@ -214,6 +224,34 @@ def test_graphs_differing_in_one_edge_compare_unequal():
 def test_graph_json_equals_the_dict_form():
     for g in _graphs_of_every_constructor():
         assert graph_to_json(g) == json.dumps(graph_json_dict(g), separators=(",", ":"))
+
+
+def test_writers_match_the_reference_writers():
+    rng = Random(31337)
+    graphs = [make_hex_dual(n) for n in range(1, 13)] + [make_star(a) for a in range(1, 6)]
+    graphs += [make_star_hex_product(a, n) for a in range(1, 4) for n in range(1, 4)]
+    for _ in range(10):
+        n = rng.randint(0, 12)
+        graphs.append(plain_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                      if rng.random() < 0.3]))
+    graphs += _graphs_of_every_constructor()
+    layouts = {g: hex_queue_layout(g.hex_n) for g in graphs[:12]}
+    layouts.update({g: product_queue_layout(g.star_a, g.hex_n) for g in graphs[17:26]})
+    # runs of 1, 2 and 3 vertices or rows put a boundary after every item
+    for chunk in (1, 2, 3, graphs_module._CHUNK):
+        with mock.patch.object(graphs_module, "_CHUNK", chunk):
+            for g in graphs:
+                assert graph_to_json(g) == reference_graph_json(g)
+                assert graph_to_dot(g) == reference_graph_to_dot(g)
+                if g in layouts:
+                    assert graph_to_dot(g, layouts[g]) == reference_graph_to_dot(g, layouts[g])
+    # more vertices and rows than one run holds
+    big = make_star_hex_product(20, 10)
+    assert big.vertex_count > graphs_module._CHUNK
+    assert graph_to_json(big) == reference_graph_json(big)
+    assert graph_to_dot(big) == reference_graph_to_dot(big)
+    layout = product_queue_layout(20, 10)
+    assert graph_to_dot(big, layout) == reference_graph_to_dot(big, layout)
 
 
 def test_product_identity_factor():

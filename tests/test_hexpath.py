@@ -23,7 +23,7 @@ from linlay import (
 from linlay.graphs import hex_neighbours
 from linlay.hexpath import coloring_to_json_dict
 
-from oracles import longest_monochromatic_path
+from oracles import component_links, longest_monochromatic_path
 
 
 def coords(pairs):
@@ -229,6 +229,17 @@ def test_path_and_trace_share_one_walk(monkeypatch):
     check_path(coloring, path)
 
 
+def test_label_links_match_the_all_cells_pass():
+    rng = Random(6174)
+    colorings = [random_coloring(n, rng) for n in range(1, 13) for _ in range(20)]
+    colorings += [pattern(n) for pattern in (shells, stripes) for n in range(1, 13)]
+    for coloring in colorings:
+        nbrs = hex_neighbours(coloring.n)
+        label, pieces, links = linlay.hexpath._label(nbrs, [c for row in coloring.rows for c in row])
+        assert links == component_links(nbrs, label)
+        assert len(links) == len(pieces) - 1  # the touching pieces form a tree
+
+
 def test_component_cycle_raises(monkeypatch):
     # without the diagonals the 2 x 2 grid is a 4-cycle, and a checkerboard
     # splits it into four singleton components joined in a cycle
@@ -329,3 +340,8 @@ def test_coloring_json_rejects_garbage():
         coloring_from_json('{"n": 2, "rows": [["R"]]}')
     with pytest.raises(InvalidParameterError):
         coloring_from_json('{"n": 1, "rows": [["purple"]]}')
+    # a row written as a string, and rows written as an object keyed by the rows
+    with pytest.raises(InvalidParameterError, match="lists"):
+        coloring_from_json('{"n":2,"rows":["RB","BR"]}')
+    with pytest.raises(InvalidParameterError, match="lists"):
+        coloring_from_json('{"n":2,"rows":{"RB":1,"BR":0}}')
