@@ -62,7 +62,7 @@ from .queuelayouts import (
     product_queue_layout,
 )
 from .render import graph_to_dot
-from .solve import SolveBudget, SolveResult, queue_number, stack_number
+from .solve import SolveResult, queue_number, stack_number
 from .witness import (
     InsufficientScale,
     ScaleParameters,

@@ -40,7 +40,7 @@ from .layouts import (
     verify_layout_json,
 )
 from .render import graph_to_dot
-from .solve import SolveBudget, queue_number, stack_number
+from .solve import queue_number, stack_number
 from .witness import (
     InsufficientScale,
     extract_crossing_witness,
@@ -146,9 +146,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = graph_from_json(_read(args.graph))
-    budget = SolveBudget(max_vertices=args.max_vertices, max_orders=args.max_orders)
     solver = stack_number if args.kind == "stack" else queue_number
-    result = solver(g, budget)
+    result = solver(g, max_vertices=args.max_vertices, max_orders=args.max_orders)
     if not result.exact:
         return _budget_exceeded(result.lower_bound, result.k,
                                 orders_scanned=result.orders_scanned)

@@ -5,11 +5,12 @@ layout forbids them from nesting.  Both are questions about edge spans,
 the (left, right) positions of an edge's ends: ``spans`` computes them and
 ``spans_cross`` / ``spans_nest`` answer them for one pair, and
 ``largest_crossing`` sizes the largest pairwise-crossing span set by
-patience piles.  For a fixed order the queue minimum is the largest
-rainbow (chain of pairwise nested edges), found by patience piles; the
-stack minimum is an exact chromatic number of the crossing-conflict graph,
-found by one iterative DSATUR branch and bound whose first descent is the
-greedy colouring and which stops at the largest crossing set.
+``patience_piles``, which ``monotone`` also uses.  For a fixed order the
+queue minimum is the largest rainbow (chain of pairwise nested edges),
+found by patience piles; the stack minimum is an exact chromatic number
+of the crossing-conflict graph, found by one iterative DSATUR branch and
+bound whose first descent is the greedy colouring and which stops at the
+largest crossing set.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError, json_int, load_json
 from .graphs import Graph, blocks, normalize_edge
-from .monotone import patience_piles
 
 STACK = "stack"
 QUEUE = "queue"
@@ -74,6 +74,21 @@ def spans(order: LinearOrder, edges: Iterable) -> list[tuple[int, int]]:
         a, b = pos[u], pos[v]
         out.append((a, b) if a < b else (b, a))
     return out
+
+
+def patience_piles(values: Sequence) -> list[int]:
+    """Pile of each value: one less than the length of the longest strictly
+    increasing subsequence that ends there.  O(len log len)."""
+    tails: list = []  # smallest tail value per pile
+    piles = []
+    for x in values:
+        j = bisect_left(tails, x)
+        if j == len(tails):
+            tails.append(x)
+        else:
+            tails[j] = x
+        piles.append(j)
+    return piles
 
 
 def largest_crossing(span_list: Sequence[tuple[int, int]]) -> int:

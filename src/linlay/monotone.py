@@ -1,4 +1,4 @@
-"""Longest monotone subsequences and iterated leaf selection.
+"""Longest monotone subsequences (by layouts' patience piles) and leaf selection.
 
 The selection step repeatedly thins a leaf family so that, at every grid
 vertex, the surviving leaves' copies appear strictly monotonically in the
@@ -9,32 +9,14 @@ members.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalInvariantError, InvalidParameterError
 from .graphs import hex_coord
-
-if TYPE_CHECKING:  # layouts imports this module for its patience piles
-    from .layouts import LinearOrder
+from .layouts import LinearOrder, patience_piles
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
-
-
-def patience_piles(values: Sequence) -> list[int]:
-    """Pile of each value: one less than the length of the longest strictly
-    increasing subsequence that ends there.  O(len log len)."""
-    tails: list = []  # smallest tail value per pile
-    piles = []
-    for x in values:
-        j = bisect_left(tails, x)
-        if j == len(tails):
-            tails.append(x)
-        else:
-            tails[j] = x
-        piles.append(j)
-    return piles
 
 
 def _lis_indices(values: Sequence) -> list[int]:
@@ -102,8 +84,6 @@ def consistent_leaf_family(order: LinearOrder, a: int, n: int) -> LeafFamily:
     for grid_id in range(1, cells):
         values = [pos[u * cells + grid_id] for u in leaves]
         direction, picked = longest_monotone_subsequence(values)
-        if len(picked) * len(picked) < len(leaves):
-            raise InternalInvariantError("selection step lost more than a square root")
         leaves = [leaves[i] for i in picked]
         directions.append(direction)
 

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .layouts import LinearOrder, spans, spans_cross
@@ -29,20 +29,18 @@ class PathFamily:
     """Disjoint paths (one per surviving leaf) inside a shared vertex order.
 
     ``paths[i]`` lists vertex ids along the grid path; consecutive entries
-    are the path's edges.  ``leaves`` carries the leaf index behind each
-    path when known (used for deterministic tie-breaking).  Positions are
-    looked up once per path, on first use, for ``span`` and ``edge_spans``.
+    are the path's edges.  ``leaves[i]`` is the leaf index behind path i,
+    which breaks ties deterministically.  Positions are looked up once per
+    path, on first use, for ``extents`` and ``edge_spans``.
     """
 
     def __init__(self, paths: tuple[tuple[int, ...], ...], order: LinearOrder,
-                 leaves: Optional[tuple[int, ...]] = None):
+                 leaves: tuple[int, ...]):
         self.paths, self.order, self.leaves = paths, order, leaves
 
-    def leaf_of(self, i: int) -> int:
-        return self.leaves[i] if self.leaves is not None else i
-
     @cached_property
-    def _extents(self) -> tuple[tuple[int, int], ...]:
+    def extents(self) -> tuple[tuple[int, int], ...]:
+        """The (first, last) position of each path's vertices."""
         pos = self.order.position
         return tuple(
             (min(pos[v] for v in p), max(pos[v] for v in p)) for p in self.paths
@@ -53,9 +51,6 @@ class PathFamily:
         """Spans of each path's edges, in path order."""
         return tuple(spans(self.order, zip(p, p[1:])) for p in self.paths)
 
-    def span(self, i: int) -> tuple[int, int]:
-        return self._extents[i]
-
 
 def classify_pair(fam: PathFamily, i: int, j: int) -> str:
     """One of separated_lt / separated_gt / crossing / neither.
@@ -65,8 +60,7 @@ def classify_pair(fam: PathFamily, i: int, j: int) -> str:
     """
     if i == j or not (0 <= i < len(fam.paths) and 0 <= j < len(fam.paths)):
         raise InvalidParameterError("need two distinct valid path indices")
-    lo_i, hi_i = fam.span(i)
-    lo_j, hi_j = fam.span(j)
+    (lo_i, hi_i), (lo_j, hi_j) = fam.extents[i], fam.extents[j]
     if hi_i < lo_j:
         return SEPARATED_LT
     if hi_j < lo_i:
@@ -116,7 +110,7 @@ def chain_or_antichain(fam: PathFamily, c: int, d: int) -> Selection | Insuffici
     b = len(fam.paths)
     if b == 0:
         return InsufficientScale(0, 0, 0, c, d)
-    extents = [fam.span(i) for i in range(b)]
+    extents = fam.extents
     by_start = sorted(range(b), key=lambda i: extents[i][0])
     starts = [extents[i][0] for i in by_start]
     depth = [1] * b
@@ -131,7 +125,7 @@ def chain_or_antichain(fam: PathFamily, c: int, d: int) -> Selection | Insuffici
         layers.setdefault(depth[i], []).append(i)
 
     def by_leaf(i: int) -> tuple[int, int]:
-        return fam.leaf_of(i), i
+        return fam.leaves[i], i
 
     if longest >= c:
         # greedy front-first choice yields the lexicographically smallest

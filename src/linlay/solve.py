@@ -6,9 +6,9 @@ survives only reversal, so the queue solver halves the search space once.
 Orders are scanned in lexicographic order and the best count is replaced
 only by a strictly smaller one, so the layout returned is the first
 optimal order with the colouring the per-order solver gives it.  The
-budget allows at least one order, and the first order scanned is the
-identity, so every scan ends with a layout; an edgeless graph ends there
-with k = 0.
+budget is ``max_vertices`` and ``max_orders``; it allows at least one
+order, and the first order scanned is the identity, so every scan ends
+with a layout; an edgeless graph ends there with k = 0.
 
 The scan stops as soon as the best count reaches the edge-density floor:
 a k-stack graph on n >= 3 vertices has at most n + k(n - 3) edges (Bernhart
@@ -33,15 +33,6 @@ from .layouts import (
     min_stack_colors_for_order,
     verify_layout,
 )
-
-
-class SolveBudget:
-    __slots__ = ("max_vertices", "max_orders")
-
-    def __init__(self, max_vertices: int = 9, max_orders: Optional[int] = None):
-        if max_orders is not None and max_orders < 1:
-            raise InvalidParameterError("max_orders must be a positive integer")
-        self.max_vertices, self.max_orders = max_vertices, max_orders
 
 
 class SolveResult(NamedTuple):
@@ -76,11 +67,13 @@ def _orders(n: int, kind: str):
             yield head + rest
 
 
-def _solve(g: Graph, budget: SolveBudget, kind: str) -> SolveResult:
+def _solve(g: Graph, kind: str, max_vertices: int, max_orders: Optional[int]) -> SolveResult:
+    if max_orders is not None and max_orders < 1:
+        raise InvalidParameterError("max_orders must be a positive integer")
     floor = density_floor(kind, g.vertex_count, len(g.edges))
-    if g.vertex_count > budget.max_vertices:
+    if g.vertex_count > max_vertices:
         raise ResourceLimitError(
-            f"{g.vertex_count} vertices exceed the budget of {budget.max_vertices}",
+            f"{g.vertex_count} vertices exceed the budget of {max_vertices}",
             lower=floor,
             upper=len(g.edges),
         )
@@ -89,7 +82,7 @@ def _solve(g: Graph, budget: SolveBudget, kind: str) -> SolveResult:
     scanned = 0
     exact = True
     for seq in _orders(g.vertex_count, kind):
-        if budget.max_orders is not None and scanned >= budget.max_orders:
+        if max_orders is not None and scanned >= max_orders:
             exact = False
             break
         scanned += 1
@@ -111,12 +104,14 @@ def _solve(g: Graph, budget: SolveBudget, kind: str) -> SolveResult:
     return SolveResult(best_k, best_layout, exact, scanned, best_k if exact else floor)
 
 
-def stack_number(g: Graph, budget: SolveBudget = SolveBudget()) -> SolveResult:
+def stack_number(g: Graph, *, max_vertices: int = 9,
+                 max_orders: Optional[int] = None) -> SolveResult:
     """Exact sn(g) with an optimal layout (first found in lexicographic
-    order scan), within the budget."""
-    return _solve(g, budget, STACK)
+    order scan), for at most max_vertices vertices and max_orders orders."""
+    return _solve(g, STACK, max_vertices, max_orders)
 
 
-def queue_number(g: Graph, budget: SolveBudget = SolveBudget()) -> SolveResult:
-    """Exact qn(g) with an optimal layout, within the budget."""
-    return _solve(g, budget, QUEUE)
+def queue_number(g: Graph, *, max_vertices: int = 9,
+                 max_orders: Optional[int] = None) -> SolveResult:
+    """Exact qn(g) with an optimal layout, within the same budget."""
+    return _solve(g, QUEUE, max_vertices, max_orders)

@@ -101,7 +101,7 @@ def case_separated(
     chain = list(chain_indices)
     c = len(chain)
     n = len(hub_vertices)
-    chain.sort(key=lambda i: fam.span(i)[0])
+    chain.sort(key=lambda i: fam.extents[i][0])
     hubs = sorted(range(n), key=lambda j: pos[hub_vertices[j]])  # grid slot by rank
     half = c // 2
     mid_hub = hubs[(n + 1) // 2 - 1]
@@ -110,13 +110,13 @@ def case_separated(
     def star_edge(path_index: int, grid_slot: int) -> tuple[int, int]:
         return normalize_edge(hub_vertices[grid_slot], fam.paths[path_index][grid_slot])
 
-    if half == 0 or fam.span(chain[half - 1])[1] < mid_hub_pos:
+    if half == 0 or fam.extents[chain[half - 1]][1] < mid_hub_pos:
         count = min(half, (n + 1) // 2)
         edges = tuple(
             star_edge(chain[i], hubs[(n + 1) // 2 + i - 1]) for i in range(count)
         )
         label = CASE_SEPARATED_1
-    elif mid_hub_pos < fam.span(chain[half])[0]:
+    elif mid_hub_pos < fam.extents[chain[half]][0]:
         count = min(c - half, (n + 1) // 2)
         edges = tuple(star_edge(chain[half + i], hubs[i]) for i in range(count))
         label = CASE_SEPARATED_2
@@ -139,7 +139,7 @@ def case_crossing(fam: PathFamily, crossing_indices: Sequence[int]) -> tuple[str
     """
     order = fam.order
     pos = order.position
-    members = sorted(crossing_indices, key=lambda i: (fam.leaf_of(i), i))
+    members = sorted(crossing_indices, key=lambda i: (fam.leaves[i], i))
     if len(members) < 2:
         raise InvalidParameterError("need at least two crossing paths")
     base_spans = fam.edge_spans[members[0]]
@@ -174,8 +174,7 @@ def case_crossing(fam: PathFamily, crossing_indices: Sequence[int]) -> tuple[str
     by_outside: dict[tuple[int, int], list] = {}
     for item in narrowed:
         i, slot, u, v = item
-        outside = v if (slot if lo < pos[u] < hi else slot + 1) == slot else u
-        outside_slot = slot + 1 if outside == v else slot
+        outside, outside_slot = (v, slot + 1) if slot == inside_slot else (u, slot)
         side = 0 if pos[outside] > hi else 1  # after e preferred
         by_outside.setdefault((outside_slot, side), []).append(item)
     key = max(by_outside, key=lambda k: (len(by_outside[k]), -k[1], -k[0]))
@@ -237,7 +236,7 @@ def extract_crossing_witness(
         picked = list(selection.indices)[:c]
         label, edges = case_separated(fam, picked, hub_vertices)
     else:
-        picked = sorted(selection.indices, key=lambda i: (fam.leaf_of(i), i))[:d]
+        picked = sorted(selection.indices, key=lambda i: (leaves[i], i))[:d]
         if len(picked) < 2:
             # d = 1 asks for nothing: zero edges witness the trivial bound
             label, edges = CASE_CROSSING, ()

@@ -518,12 +518,12 @@ def all_pairs_chain_or_antichain(fam, c, d):
         after[i][j] = cls == SEPARATED_LT
         after[j][i] = cls == SEPARATED_GT
     depth = [1] * b
-    for i in reversed(sorted(range(b), key=lambda i: fam.span(i)[0])):
+    for i in reversed(sorted(range(b), key=lambda i: fam.extents[i][0])):
         for j in range(b):
             if after[i][j] and depth[j] + 1 > depth[i]:
                 depth[i] = depth[j] + 1
     longest = max(depth)
-    leaf = lambda i: (fam.leaf_of(i), i)
+    leaf = lambda i: (fam.leaves[i], i)
     if longest >= c:
         chain = [min((i for i in range(b) if depth[i] == longest), key=leaf)]
         while depth[chain[-1]] > 1:

@@ -6,19 +6,24 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import linlay
 from linlay import (
+    extract_crossing_witness,
     graph_from_json,
+    graph_to_dot,
     is_pairwise_crossing,
     layout_from_json,
     layout_to_json,
     LinearOrder,
     graph_to_json,
     product_queue_layout,
+    stack_number,
 )
+from linlay.witness import witness_to_json_dict
 
 from oracles import complete_graph, cube_graph
 
@@ -51,9 +56,12 @@ def test_gen_product_counts():
 
 
 def test_gen_star_zero_is_usage_error():
-    proc = run_cli("gen", "star", "--a", "0")
-    assert proc.returncode == 2
-    assert proc.stderr
+    for args, message in ((("gen", "star", "--a", "0"), "value must be at least 1"),
+                          (("solve", "G", "--kind", "stack", "--max-vertices", "x"),
+                           "'x' is not an integer")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert message in proc.stderr
 
 
 def test_gen_dot_format():
@@ -280,6 +288,11 @@ def test_solve_stack_k4(tmp_path):
     assert proc.stdout.splitlines()[0] == "2"
     layout = layout_from_json(proc.stdout.splitlines()[1])
     assert layout.kind == "stack"
+    dot = run_cli("solve", str(path), "--kind", "stack", "--format", "dot")
+    assert dot.returncode == 0
+    k, rest = dot.stdout.split("\n", 1)
+    assert k == proc.stdout.splitlines()[0]
+    assert rest == graph_to_dot(complete_graph(4), stack_number(complete_graph(4)).layout)
 
 
 def test_solve_queue_star(tmp_path):
@@ -355,6 +368,9 @@ def test_hexpath_malformed_coloring(tmp_path):
 def test_hexpath_needs_source():
     proc = run_cli("hexpath")
     assert proc.returncode == 2
+    proc = run_cli("hexpath", "--random")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --random requires --n\n"
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +385,18 @@ def test_witness_random_seed():
     doc = json.loads(proc.stdout)
     assert doc["case"] in ("I.1", "I.2", "II")
     assert doc["lower_bound"] == len(doc["edges"]) >= 1
+    traced = run_cli(
+        "witness", "--a", "4", "--n", "2", "--c", "2", "--d", "2",
+        "--random", "--seed", "7", "--trace",
+    )
+    assert traced.returncode == 0
+    seq = list(range(5 * 4))
+    Random(7).shuffle(seq)
+    report = extract_crossing_witness(4, 2, LinearOrder.from_sequence(seq), 2, 2, trace=True)
+    compact = json.dumps(witness_to_json_dict(report), separators=(",", ":"))
+    assert traced.stdout == compact + "\n"
+    assert set(report.trace) == {"leaves", "directions", "grid_path", "selection",
+                                 "classification"}
 
 
 def test_witness_order_file(tmp_path):

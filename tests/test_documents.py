@@ -209,6 +209,16 @@ def test_canonical_layout_documents_take_the_fast_path():
                 assert (kind, order) == (layout.kind, layout.order)
                 assert verify_layout_json(g, spelled) == verify_layout(g, layout)
             assert layouts._canonical_classes(g, text + "\n\n") is None
+    # canonical in form, but the order leaves out the last vertex
+    g, layout = next(small_layouts())
+    seq = layout.order.sequence
+    short = layout_to_json(layout).replace(
+        json.dumps(seq, separators=(",", ":")),
+        json.dumps([v for v in seq if v != len(seq) - 1], separators=(",", ":")),
+    )
+    assert layouts._CANONICAL_HEAD.match(short) and layouts._canonical_classes(g, short) is None
+    with pytest.raises(InvalidParameterError, match="order must cover the graph's vertices exactly"):
+        verify_layout_json(g, short)
 
 
 def perturb_layout(data, doc):

@@ -215,6 +215,13 @@ def test_plain_graph_takes_pairs_in_any_order_orientation_and_multiplicity():
     assert all(list(row) == sorted(set(row)) for row in g.adjacency)
 
 
+def test_plain_graph_refuses_loops_and_negative_counts():
+    with pytest.raises(InvalidParameterError, match="self-loop at vertex 1"):
+        plain_graph(3, [(1, 1)])
+    with pytest.raises(InvalidParameterError, match="vertex_count must be nonnegative"):
+        plain_graph(-1, [])
+
+
 def test_graphs_differing_in_one_edge_compare_unequal():
     pairs = [(0, 1), (1, 2), (2, 3)]
     assert plain_graph(4, pairs) != plain_graph(4, pairs[:2] + [(0, 3)])

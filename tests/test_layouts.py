@@ -176,6 +176,9 @@ def test_verify_rejects_partial_inputs():
             g,
             Layout("shelf", order, EdgeColoring.from_colors({e: 0 for e in g.edges})),
         )
+    for per_order in (min_stack_colors_for_order, min_queue_colors_for_order):
+        with pytest.raises(InvalidParameterError, match="order must cover"):
+            per_order(g, order_of([0, 1]))
 
 
 def test_verify_refuses_reversed_and_non_edge_keys():

@@ -41,7 +41,7 @@ def family_from_positions(position_rows, leaves=None):
         paths.append(tuple(path))
     assert None not in seq, "positions must tile 0..total-1"
     order = LinearOrder.from_sequence(seq)
-    return PathFamily(tuple(paths), order, tuple(leaves) if leaves else None)
+    return PathFamily(tuple(paths), order, tuple(leaves) if leaves else tuple(range(b)))
 
 
 def uniform_random_family(rng, b, q):
@@ -64,7 +64,7 @@ def uniform_random_family(rng, b, q):
             paths[i][j] = vid
             vid += 1
     order = LinearOrder.from_sequence(seq)
-    return PathFamily(tuple(tuple(p) for p in paths), order)
+    return PathFamily(tuple(tuple(p) for p in paths), order, tuple(range(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,11 @@ def test_family_too_small_reports_sizes():
     assert isinstance(outcome, InsufficientScale)
     assert outcome.longest_chain == 2
     assert outcome.required_c == 5
+    empty = PathFamily((), LinearOrder.from_sequence(()), ())
+    assert chain_or_antichain(empty, 3, 4) == InsufficientScale(0, 0, 0, 3, 4)
+    for c, d in ((0, 1), (1, 0)):
+        with pytest.raises(InvalidParameterError, match="c and d must be positive"):
+            chain_or_antichain(fam, c, d)
 
 
 def test_neither_pair_raises_precondition_violation():
@@ -193,7 +198,7 @@ def test_chain_tie_break_prefers_small_leaves():
     fam = family_from_positions(rows, leaves=[9, 8, 2, 1])
     sel = chain_or_antichain(fam, 2, 99)
     assert sel.kind == "separated"
-    leaf_tuple = tuple(fam.leaf_of(i) for i in sel.indices)
+    leaf_tuple = tuple(fam.leaves[i] for i in sel.indices)
     assert leaf_tuple == (2, 1)
 
 

@@ -7,7 +7,6 @@ from linlay import (
     InvalidParameterError,
     LinearOrder,
     ResourceLimitError,
-    SolveBudget,
     make_hex_dual,
     make_star,
     make_star_hex_product,
@@ -148,7 +147,7 @@ def test_budget_vertex_gate():
     with pytest.raises(ResourceLimitError):
         stack_number(g)
     with pytest.raises(ResourceLimitError):
-        queue_number(g, SolveBudget(max_vertices=10))
+        queue_number(g, max_vertices=10)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])
@@ -162,10 +161,23 @@ def test_edgeless_graphs_end_on_the_identity_order(n):
 
 
 def test_budget_needs_at_least_one_order():
-    with pytest.raises(InvalidParameterError):
-        SolveBudget(max_orders=0)
-    with pytest.raises(InvalidParameterError):
-        SolveBudget(max_orders=-1)
+    # refused before the vertex gate, which this graph would also fail
+    g = plain_graph(12, [])
+    for solver in (stack_number, queue_number):
+        for max_orders in (0, -1):
+            with pytest.raises(InvalidParameterError, match="max_orders must be a positive"):
+                solver(g, max_orders=max_orders)
+
+
+def test_default_budget_is_nine_vertices_and_no_order_cap():
+    for solver in (stack_number, queue_number):
+        result = solver(plain_graph(9, [(v, v + 1) for v in range(8)]))
+        assert (result.k, result.exact) == (1, True)
+        with pytest.raises(ResourceLimitError):
+            solver(plain_graph(10, [(v, v + 1) for v in range(9)]))
+    # K_{3,3} never reaches its floor, so only an uncapped scan is exact
+    result = stack_number(complete_bipartite(3, 3))
+    assert (result.k, result.exact, result.orders_scanned) == (3, True, 60)
 
 
 def test_budget_order_cap_returns_bounds():
@@ -173,7 +185,7 @@ def test_budget_order_cap_returns_bounds():
     # the scan cannot stop at the floor and runs through all 60 orders
     g = complete_bipartite(3, 3)
     assert density_floor("stack", 6, 9) == 1
-    result = stack_number(g, SolveBudget(max_orders=3))
+    result = stack_number(g, max_orders=3)
     assert not result.exact
     assert result.lower_bound <= result.k
     assert verify_layout(g, result.layout).valid
@@ -184,7 +196,7 @@ def test_long_path_stops_at_the_floor():
     # ends after one order
     g = plain_graph(1200, [(v, v + 1) for v in range(1199)])
     for solver in (stack_number, queue_number):
-        result = solver(g, SolveBudget(max_vertices=2000))
+        result = solver(g, max_vertices=2000)
         assert (result.k, result.exact, result.orders_scanned) == (1, True, 1)
         assert verify_layout(g, result.layout).valid
 

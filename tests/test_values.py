@@ -1,8 +1,9 @@
 """Value semantics of linlay's records and of its classes with behaviour.
 
-The records are named tuples; Graph, GridColoring, LinearOrder, PathFamily
-and SolveBudget are plain classes whose equality, hashing and checks are
-written out, so these tests pin what each one compares and refuses.
+The records are named tuples; Graph, GridColoring, LinearOrder and
+PathFamily are plain classes whose equality, hashing, checks and cached
+fields are written out, so these tests pin what each one compares, refuses
+and keeps.
 """
 
 import pytest
@@ -20,7 +21,6 @@ from linlay import (
     PathFamily,
     ScaleParameters,
     Selection,
-    SolveBudget,
     SolveResult,
     VerifyReport,
     WitnessReport,
@@ -125,19 +125,11 @@ def test_grid_coloring_equality_and_hash_over_size_and_rows():
 
 def test_path_family_defaults_and_cached_spans():
     order = LinearOrder.from_sequence((0, 2, 1, 3))
-    fam = PathFamily(((0, 1), (2, 3)), order)
-    assert fam.leaves is None
-    assert fam.leaf_of(1) == 1
-    assert fam.span(0) == (0, 2)
+    with pytest.raises(TypeError):
+        PathFamily(((0, 1), (2, 3)), order)  # every path names its leaf
+    fam = PathFamily(((0, 1), (2, 3)), order, (5, 7))
+    assert fam.leaves[1] == 7
+    assert fam.extents is fam.extents
+    assert fam.extents == ((0, 2), (1, 3))
     assert fam.edge_spans is fam.edge_spans
     assert fam.edge_spans == ([(0, 2)], [(1, 3)])
-
-
-def test_solve_budget_defaults_and_check():
-    budget = SolveBudget()
-    assert (budget.max_vertices, budget.max_orders) == (9, None)
-    assert SolveBudget(max_orders=5).max_orders == 5
-    with pytest.raises(InvalidParameterError):
-        SolveBudget(max_orders=0)
-    with pytest.raises(AttributeError):
-        budget.max_edges = 3

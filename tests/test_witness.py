@@ -293,3 +293,6 @@ def test_pipeline_rejects_bad_arguments():
         extract_crossing_witness(0, 2, identity_order(4), 1, 1)
     with pytest.raises(InvalidParameterError):
         extract_crossing_witness(2, 2, identity_order(7), 1, 1)
+    for c, d in ((0, 1), (1, 0)):
+        with pytest.raises(InvalidParameterError, match="c and d must be positive"):
+            extract_crossing_witness(2, 2, identity_order(12), c, d)
