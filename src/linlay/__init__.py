@@ -20,7 +20,6 @@ from .hexpath import (
     GridColoring,
     boundary_sequence,
     coloring_from_json,
-    far_boundary,
     find_monochromatic_path,
     random_coloring,
 )

@@ -1,7 +1,8 @@
 """Command-line surface: gen / verify / solve / hexpath / witness / params.
 
 Exit codes, one meaning each: 0 success; 1 ``verify`` found the layout
-invalid; 2 bad input (an InvalidParameterError or an argparse usage error);
+invalid; 2 bad input (an InvalidParameterError or an argparse usage error)
+or an output that cannot be written, stdout included;
 3 a budget or size limit (a ResourceLimitError), with the bounds known so
 far as one JSON line on stderr; 4 ``witness`` found its path family too
 small (InsufficientScale).  Identical command lines with the same seed
@@ -291,12 +292,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as exc:
         return _budget_exceeded(exc.lower, exc.upper)
+    except OSError as exc:  # only stdout: file reads and --output writes wrap their own
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiets the exit flush
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def script() -> None:

@@ -66,13 +66,9 @@ class Graph:
         return len(self.adjacency)
 
     @cached_property
-    def edges(self) -> frozenset:
-        """The edges (u, v), u < v, as a set, built from the rows on first use."""
-        return frozenset((u, w) for u, row in enumerate(self.adjacency) for w in row if u < w)
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        """The edges (u, v), u < v, in ascending order."""
-        return [(u, w) for u, row in enumerate(self.adjacency) for w in row if u < w]
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (u, v), u < v, in ascending order, read off the rows on first use."""
+        return tuple([(u, w) for u, row in enumerate(self.adjacency) for w in row if u < w])
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

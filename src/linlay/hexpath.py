@@ -24,10 +24,10 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import repeat
 from random import Random
-from typing import FrozenSet, Iterable, NamedTuple, Optional
+from typing import FrozenSet, NamedTuple, Optional
 
 from .errors import InternalInvariantError, InvalidParameterError, json_int, load_json
-from .graphs import GridCoord, hex_coord, hex_neighbours, hex_vertex_id, make_hex_dual
+from .graphs import GridCoord, hex_coord, hex_neighbours, make_hex_dual
 
 RED = "R"
 BLUE = "B"
@@ -115,32 +115,6 @@ def _is_connected(nbrs, cells) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(cells)
-
-
-def far_boundary(n: int, x: Iterable[GridCoord]) -> FrozenSet[GridCoord]:
-    """Neighbours of the connected set x inside the component of [n,n]
-    left after removing x; always induces a connected subgraph."""
-    nbrs = hex_neighbours(n)
-    try:
-        cells = [GridCoord(*c) for c in x]
-    except TypeError as exc:
-        raise InvalidParameterError(f"every cell must be a coordinate pair: {exc}") from exc
-    if not all(type(v) is int and 1 <= v <= n for cell in cells for v in cell):
-        raise InvalidParameterError(f"every cell must be an integer pair inside the {n} x {n} grid")
-    x_ids = {hex_vertex_id(c, n) for c in cells}
-    corner = n * n - 1
-    if corner in x_ids:
-        raise InvalidParameterError("the set must avoid the [n,n] corner")
-    if not x_ids:
-        raise InvalidParameterError("the set must be nonempty")
-    label = _label(nbrs, [v in x_ids for v in range(n * n)])[0]
-    if len({label[v] for v in x_ids}) != 1:
-        raise InvalidParameterError("the set must induce a connected subgraph")
-    boundary = {w for v in x_ids for w in nbrs[v] if label[w] == label[corner]}
-    # all bounded faces are triangles, which forces the boundary connected
-    if not _is_connected(nbrs, boundary):
-        raise InternalInvariantError("far boundary split into several pieces")
-    return frozenset(hex_coord(v, n) for v in boundary)
 
 
 def _walk(coloring: GridColoring) -> tuple[list[int], list[tuple[list[int], Optional[frozenset]]]]:

@@ -245,7 +245,7 @@ def verify_layout(g: Graph, layout: Layout) -> VerifyReport:
     if len(order) != g.vertex_count:
         raise InvalidParameterError("order must cover the graph's vertices exactly")
     colors = layout.coloring.colors
-    edges = g.edge_list()
+    edges = g.edges
     # distinct keys, as many as edges and every edge among them: the edge set
     if len(colors) != len(edges) or not all(e in colors for e in edges):
         raise InvalidParameterError("colouring must be total on the edge set")
@@ -340,13 +340,13 @@ def min_stack_colors_for_order(
     """
     if len(order) != g.vertex_count:
         raise InvalidParameterError("order must cover the graph's vertices")
-    if len(g.edges) > max_edges:
+    edges = g.edges
+    if len(edges) > max_edges:
         raise ResourceLimitError(
-            f"{len(g.edges)} edges exceed the stack-colouring limit of {max_edges}",
-            lower=1 if g.edges else 0,
-            upper=len(g.edges),
+            f"{len(edges)} edges exceed the stack-colouring limit of {max_edges}",
+            lower=1 if edges else 0,
+            upper=len(edges),
         )
-    edges = g.edge_list()
     span_list = spans(order, edges)
     lower = largest_crossing(span_list)
     best_k = len(edges) + 1 if _cutoff is None else _cutoff
@@ -368,7 +368,7 @@ def min_queue_colors_for_order(g: Graph, order: LinearOrder):
     """
     if len(order) != g.vertex_count:
         raise InvalidParameterError("order must cover the graph's vertices")
-    edges = g.edge_list()
+    edges = g.edges
     span_list = spans(order, edges)
     # in (left, right) order, an edge's patience pile on negated right ends
     # is the longest rainbow strictly around it; equal left ends keep their

@@ -5,6 +5,12 @@ Row-major order gives the grid a 3-queue layout because each edge class
 spans can never nest.  Listing each grid block as hub first then leaves
 extends this to 4 queues on the product: within-block star edges share
 the hub, and product edges again fall into three equal-span classes.
+
+Three queues are not the grid's minimum: qn(H_n) = 2 for n >= 3.  One
+queue holds at most 2n^2 - 3 edges on n^2 vertices, and in row-major
+order a vertical edge (j, j+n) never lies strictly inside a diagonal
+(i, i+n+1), nor a diagonal inside a vertical, so those two classes could
+share one queue; the layout keeps the three classes apart.
 """
 
 from __future__ import annotations
@@ -24,10 +30,11 @@ def _step_classes(n: int) -> dict[int, int]:
 
 
 def hex_queue_layout(n: int) -> Layout:
-    """3-queue layout of the dual hex grid under row-major order."""
+    """3-queue layout of the dual hex grid under row-major order.  The same
+    order needs only 2 queues, vertical and diagonal edges sharing one."""
     g = make_hex_dual(n)
     step = _step_classes(n)
-    colors = {(u, v): step[v - u] - 1 for u, v in g.edge_list()}
+    colors = {(u, v): step[v - u] - 1 for u, v in g.edges}
     return Layout(QUEUE, identity_order(g.vertex_count), EdgeColoring.from_colors(colors))
 
 
@@ -50,6 +57,6 @@ def product_queue_layout(a: int, n: int) -> Layout:
     g = make_star_hex_product(a, n)
     cells, step = n * n, _step_classes(n)
     colors = {
-        (u, v): STAR_CLASS if v - u >= cells else step[v - u] for u, v in g.edge_list()
+        (u, v): STAR_CLASS if v - u >= cells else step[v - u] for u, v in g.edges
     }
     return Layout(QUEUE, product_block_order(a, n), EdgeColoring.from_colors(colors))

@@ -14,6 +14,7 @@ per edge of it.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, InvalidParameterError, ResourceLimitError
@@ -22,6 +23,8 @@ from .hexpath import BLUE, RED, GridColoring, find_monochromatic_path
 from .layouts import LinearOrder, is_pairwise_crossing, spans_cross
 from .monotone import INCREASING, consistent_leaf_family
 from .poset import (
+    SEPARATED_GT,
+    SEPARATED_LT,
     InsufficientScale,
     PathFamily,
     chain_or_antichain,
@@ -249,13 +252,12 @@ def extract_crossing_witness(
 
     trace_doc = None
     if trace:
-        matrix = [
-            [
-                None if i == j else classify_pair(fam, i, j)
-                for j in range(len(paths))
-            ]
-            for i in range(len(paths))
-        ]
+        # pair (j, i) is pair (i, j) with the separated sides swapped
+        mirror = {SEPARATED_LT: SEPARATED_GT, SEPARATED_GT: SEPARATED_LT}
+        matrix = [[None] * len(paths) for _ in paths]
+        for i, j in combinations(range(len(paths)), 2):
+            kind = classify_pair(fam, i, j)
+            matrix[i][j], matrix[j][i] = kind, mirror.get(kind, kind)
         trace_doc = {
             "leaves": list(leaves),
             "directions": [

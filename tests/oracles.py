@@ -103,6 +103,22 @@ def connected_components(g, restrict=None):
     return components
 
 
+def far_boundary(n, x):
+    """Neighbours of the connected cell set ``x`` that lie in the component
+    of [n,n] among the other cells of the n x n grid, as grid coordinates.
+    The walk's lemma says they induce a connected subgraph; this checks it."""
+    g = make_hex_dual(n)
+    where = {cell: v for v, cell in enumerate(g.labels)}
+    ids = {where[GridCoord(*c)] for c in x}
+    corner = n * n - 1
+    assert ids and corner not in ids and len(connected_components(g, ids)) == 1
+    rest = [v for v in range(n * n) if v not in ids]
+    far = next(c for c in connected_components(g, rest) if corner in c)
+    boundary = {w for v in ids for w in g.adjacency[v] if w in far}
+    assert len(connected_components(g, boundary)) == 1
+    return frozenset(g.labels[v] for v in boundary)
+
+
 def positions(seq):
     pos = [0] * len(seq)
     for i, v in enumerate(seq):

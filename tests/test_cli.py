@@ -1,6 +1,4 @@
 import hashlib
-import importlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -277,6 +275,35 @@ def test_oversized_product_header_exits_2(tmp_path):
     assert proc.stderr == "error: 0 vertices do not fit a product graph of that size\n"
 
 
+def _assert_stdout_failure(returncode, stderr):
+    # exit 1 means only "invalid layout"; an unwritable stdout is exit 2
+    assert returncode == 2
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout")
+
+
+def test_closed_stdout_pipe_exits_2_with_one_line():
+    # about 150 kB, more than a pipe holds, so the writer meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "linlay", "gen", "product", "--a", "20", "--n", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.read(50)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    _assert_stdout_failure(proc.wait(timeout=60), stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_stdout_device_exits_2_with_one_line():
+    # a few bytes stay buffered until the flush, which is where it fails
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "linlay", "gen", "hex", "--n", "3"],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    _assert_stdout_failure(proc.returncode, proc.stderr)
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -496,44 +523,47 @@ def test_byte_identical_reruns(args):
 # ---------------------------------------------------------------------------
 # benchmark tracer
 
-def _tracer_targets(monkeypatch):
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up
-    spec.loader.exec_module(tracer)
-    return tracer.JOB_TARGETS + tracer.SETUP_TARGETS
-
-
-def test_tracer_targets_name_existing_functions(monkeypatch):
-    # bench/tracer.py looks every target up with getattr before a traced
-    # run, so a renamed or deleted function breaks `bench/run.py --trace 1`
-    targets = _tracer_targets(monkeypatch)
+def test_tracer_targets_name_existing_functions():
+    # bench/tracer.py imports linlay.cli, runs `import linlay` and looks
+    # every target up in sys.modules, so a target module that this leaves
+    # unloaded, or a renamed or deleted function, breaks a traced benchmark
+    # run; a lazy linlay/__init__ (ROADMAP item 6) must change the tracer first
+    code = (
+        "import importlib.util, json, sys\n"
+        "spec = importlib.util.spec_from_file_location('bench_tracer', sys.argv[1])\n"
+        "tracer = sys.modules[spec.name] = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "import linlay.cli\n"
+        "import linlay\n"
+        "targets = tracer.JOB_TARGETS + tracer.SETUP_TARGETS\n"
+        "modules = [sys.modules.get('linlay.' + t.module) for t in targets]\n"
+        "print(json.dumps([[t.name, m is not None, callable(getattr(m, t.function, None))]\n"
+        "                  for t, m in zip(targets, modules)]))\n"
+    )
+    tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    src = str(Path(linlay.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(tracer)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    targets = json.loads(done.stdout)
     assert targets
-    for target in targets:
-        module = importlib.import_module(f"linlay.{target.module}")
-        assert callable(getattr(module, target.function, None)), target.name
+    for name, loaded, callable_ in targets:
+        assert loaded and callable_, name
 
 
-def test_start_up_imports(monkeypatch):
+def test_start_up_imports():
     # every CLI run is a fresh process, so what `import linlay.cli` pulls in
     # is paid per job; -S skips `site`, whose .pth files import what they like
     code = (
         "import json, sys\n"
-        "import linlay\n"
-        "package = sorted(m for m in sys.modules if m.startswith('linlay.'))\n"
         "import linlay.cli\n"
         "heavy = [m for m in ('dataclasses', 'inspect', 'decimal') if m in sys.modules]\n"
-        "print(json.dumps([package, heavy]))\n"
+        "print(json.dumps(heavy))\n"
     )
     src = str(Path(linlay.__file__).resolve().parent.parent)
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     )
-    package, heavy = json.loads(done.stdout)
-    assert heavy == []
-    # the tracer wraps functions after a bare `import linlay`; it imports
-    # the cli itself, which the package leaves out
-    traced = {f"linlay.{t.module}" for t in _tracer_targets(monkeypatch)} - {"linlay.cli"}
-    assert traced <= set(package)
+    assert json.loads(done.stdout) == []

@@ -73,7 +73,7 @@ def test_hex_two_derived_by_pair_enumeration():
         for v in range(u + 1, 4)
         if hex_edge_oracle(hex_coord(u, 2), hex_coord(v, 2))
     }
-    assert g.edges == frozenset(expected)
+    assert set(g.edges) == expected
     assert len(g.edges) == 5
 
 
@@ -127,7 +127,7 @@ def test_star_five():
 def test_star_single_edge():
     g = make_star(1)
     assert g.vertex_count == 2
-    assert g.edges == frozenset({(0, 1)})
+    assert set(g.edges) == {(0, 1)}
 
 
 def test_star_degrees():
@@ -200,9 +200,13 @@ def _graphs_of_every_constructor():
     return graphs + [graph_from_json(graph_to_json(g)) for g in graphs]
 
 
-def test_edge_list_is_the_sorted_edge_set():
+def test_edges_are_the_ascending_pairs_of_the_rows():
     for g in _graphs_of_every_constructor():
-        assert g.edge_list() == sorted(g.edges)
+        edges = g.edges
+        assert isinstance(edges, tuple) and g.edges is edges
+        # ascending, each edge once, and the same edges as the rows
+        assert edges == tuple(sorted({tuple(sorted((u, w)))
+                                      for u, row in enumerate(g.adjacency) for w in row}))
 
 
 def test_plain_graph_takes_pairs_in_any_order_orientation_and_multiplicity():
@@ -211,7 +215,7 @@ def test_plain_graph_takes_pairs_in_any_order_orientation_and_multiplicity():
     Random(7).shuffle(messy)
     g = plain_graph(5, messy)
     assert g == plain_graph(5, pairs)
-    assert g.edge_list() == pairs
+    assert list(g.edges) == pairs
     assert all(list(row) == sorted(set(row)) for row in g.adjacency)
 
 
@@ -486,6 +490,6 @@ def test_malformed_edge_lists_keep_their_messages(g, data):
 def test_graph_immutability_contract():
     g = make_hex_dual(2)
     assert isinstance(g.labels, tuple)
-    assert isinstance(g.edges, frozenset)
+    assert isinstance(g.edges, tuple)
     assert isinstance(g.adjacency, tuple)
     assert make_hex_dual(2) is g  # cached and shareable

@@ -33,6 +33,9 @@ def test_hex_layout_valid_and_strict(n):
     layout = hex_queue_layout(n)
     assert verify_layout(g, layout).valid
     assert weakly_nesting_pairs(layout) == []
+    if n >= 3:  # qn(H_n) = 2: the same order needs only 2 queues; the layout keeps 3
+        assert layout.coloring.k == 3
+        assert min_queue_colors_for_order(g, layout.order)[0] == 2
 
 
 def test_step_colours_match_the_label_classes():

@@ -86,7 +86,7 @@ def test_graph_repr_leaves_out_the_rows():
 
 def test_graph_caches_its_edge_set():
     g = Graph("plain", (0, 1, 2), ((1,), (0, 2), (1,)))
-    assert g.edges == {(0, 1), (1, 2)}
+    assert g.edges == ((0, 1), (1, 2))
     assert g.edges is g.edges
 
 

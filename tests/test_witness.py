@@ -272,6 +272,38 @@ def test_trace_artifacts_present():
     assert all(matrix[i][i] is None for i in range(len(matrix)))
 
 
+def grouped_order(a, n, seed):
+    """The hub copies, then seeded groups of leaves: group after group, and
+    inside a group cell by cell, so leaves of two groups are separated and
+    leaves of one group cross."""
+    rng = Random(seed)
+    cells = n * n
+    cuts = sorted(rng.sample(range(2, a + 1), rng.randint(1, 3)))
+    groups = [range(lo, hi) for lo, hi in zip([1] + cuts, cuts + [a + 1])]
+    seq = list(range(cells)) + [u * cells + y for g in groups for y in range(cells) for u in g]
+    return LinearOrder.from_sequence(seq)
+
+
+@pytest.mark.parametrize("a, n, seed", [(6, 2, 1), (9, 3, 2), (12, 3, 3)])
+def test_trace_classifies_each_unordered_pair_once(monkeypatch, a, n, seed):
+    classify, families = linlay.witness.classify_pair, []
+
+    def counting(fam, i, j):
+        families.append(fam)
+        return classify(fam, i, j)
+
+    monkeypatch.setattr(linlay.witness, "classify_pair", counting)
+    report = extract_crossing_witness(a, n, grouped_order(a, n, seed), 2, 2, trace=True)
+    b = report.family_size_b
+    assert b == a and len(families) == b * (b - 1) // 2
+    fam = families[0]
+    assert report.trace["classification"] == [
+        [None if i == j else classify(fam, i, j) for j in range(b)] for i in range(b)
+    ]
+    kinds = {kind for row in report.trace["classification"] for kind in row}
+    assert kinds == {None, "separated_lt", "separated_gt", "crossing"}
+
+
 def test_pipeline_checks_edges_without_building_the_product(monkeypatch):
     def refuse(a, n):
         raise AssertionError("the product graph was built")
