@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from functools import cached_property, lru_cache
-from itertools import product, starmap
+from functools import cached_property, lru_cache, partial
+from itertools import chain, product, repeat
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidParameterError, json_int, load_json
@@ -150,14 +150,18 @@ def make_star_hex_product(a: int, n: int) -> Graph:
     """The Cartesian product of ``make_star(a)`` and ``make_hex_dual(n)``,
     built straight from the ids x * n^2 + y, hub copy first: a hub-copy row
     is the cell's grid neighbours then its leaf copies, a leaf-copy row is
-    the hub copy then the grid neighbours, so every row comes out ascending."""
+    the hub copy then the grid neighbours, so every row comes out ascending.
+    The leaf-copy rows of cell y in all a copies are zipped at once from
+    one range per grid neighbour, and the labels are made by tuple.__new__
+    straight from the pairs of star and grid labels."""
     star, grid = make_star(a), make_hex_dual(n)
     cells, table = n * n, grid.adjacency
     size = (a + 1) * cells
     rows = [nbrs + tuple(range(y + cells, size, cells)) for y, nbrs in enumerate(table)]
-    for base in range(cells, size, cells):
-        rows += [(y, *[base + w for w in nbrs]) for y, nbrs in enumerate(table)]
-    labels = tuple(starmap(ProductVertex, product(star.labels, grid.labels)))
+    copies_of_cell = [zip(repeat(y, a), *[range(cells + w, size, cells) for w in nbrs])
+                      for y, nbrs in enumerate(table)]
+    rows += chain.from_iterable(zip(*copies_of_cell))  # copy by copy, cell by cell
+    labels = tuple(map(partial(tuple.__new__, ProductVertex), product(star.labels, grid.labels)))
     return Graph("product", labels, tuple(rows), hex_n=n, star_a=a)
 
 
@@ -233,23 +237,26 @@ def _json_pieces(g: Graph):
     adjacency rows.  A grid cell's label prints as [a,b], a star part as
     "t" or its index and a product vertex's as [part,[a,b]], each text made
     once; a plain graph's labels print as themselves if ints, else (the
-    tuples of generic products) as the vertex id."""
+    tuples of generic products) as the vertex id.  Each id is formatted
+    once, and a product vertex is written by one f-string."""
     sizes = "".join(
         f',"{key}":{size}' for key, size in (("n", g.hex_n), ("a", g.star_a)) if size is not None
     )
     yield f'{{"kind":{json.dumps(g.kind)}{sizes},"vertices":['
-    texts = PairTexts(json.dumps)
+    texts, ids = PairTexts(json.dumps), list(map(str, range(len(g.adjacency))))  # made once
     for lo, labels in blocks(g.labels):
+        run = zip(ids[lo:lo + len(labels)], labels)
         if g.kind == "product":
-            labels = [f"[{texts[part]},{texts[cell]}]" for part, cell in labels]
+            vertices = [f'{{"id":{i},"label":[{texts[part]},{texts[cell]}]}}'
+                        for i, (part, cell) in run]
         elif g.kind == "plain":
-            labels = [x if isinstance(x, int) else i for i, x in enumerate(labels, lo)]
+            vertices = [f'{{"id":{i},"label":{x if isinstance(x, int) else i}}}' for i, x in run]
         else:
-            labels = map(texts.__getitem__, labels)
-        vertices = ",".join([f'{{"id":{i},"label":{t}}}' for i, t in enumerate(labels, lo)])
+            vertices = [f'{{"id":{i},"label":{texts[x]}}}' for i, x in run]
+        vertices = ",".join(vertices)
         yield f",{vertices}" if lo else vertices
     yield '],"edges":['
-    sep, ids = "", list(map(str, range(len(g.adjacency))))  # each id formatted once
+    sep = ""
     for lo, rows in blocks(g.adjacency):
         later = ",".join([f"[{ids[u]},{ids[w]}]" for u, row in enumerate(rows, lo)
                           for w in row if u < w])

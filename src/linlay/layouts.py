@@ -384,10 +384,17 @@ def min_queue_colors_for_order(g: Graph, order: LinearOrder):
 
 def layout_to_json(layout: Layout) -> str:
     """The JSON form, with no spaces and the colour keys in edge order.
-    Colourings built in edge order make the sort one linear pass."""
-    colors = ",".join([f'"{u}-{v}":{c}' for (u, v), c in sorted(layout.coloring.colors.items())])
-    order = json.dumps(layout.order.sequence, separators=(",", ":"))
-    return f'{{"kind":{json.dumps(layout.kind)},"order":{order},"colors":{{{colors}}}}}'
+    Colourings built in edge order make the sort one linear pass.  Each
+    vertex id and each colour is formatted once, so the colour keys must
+    be edges of the order's vertices, as ``verify_layout`` requires."""
+    colors = layout.coloring.colors
+    ids = list(map(str, range(len(layout.order))))
+    tones = {c: str(c) for c in set(colors.values())}
+    edges = sorted(colors)
+    keys = ",".join([f'"{ids[u]}-{ids[v]}":{tones[c]}'
+                     for (u, v), c in zip(edges, map(colors.__getitem__, edges))])
+    order = ",".join(map(ids.__getitem__, layout.order.sequence))
+    return f'{{"kind":{json.dumps(layout.kind)},"order":[{order}],"colors":{{{keys}}}}}'
 
 
 def layout_from_json(text: str) -> Layout:

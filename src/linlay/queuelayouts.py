@@ -15,7 +15,9 @@ share one queue; the layout keeps the three classes apart.
 
 from __future__ import annotations
 
-from .graphs import make_hex_dual, make_star_hex_product
+from itertools import chain
+
+from .graphs import make_hex_dual, make_star
 from .layouts import QUEUE, EdgeColoring, Layout, LinearOrder, identity_order
 
 STAR_CLASS = 0
@@ -24,39 +26,51 @@ VERTICAL_CLASS = 2
 DIAGONAL_CLASS = 3
 
 
-def _step_classes(n: int) -> dict[int, int]:
-    """Class of a grid edge (u, v), u < v, by its id step v - u."""
-    return {1: HORIZONTAL_CLASS, n: VERTICAL_CLASS, n + 1: DIAGONAL_CLASS}
+def _grid_edge_classes(n: int) -> tuple[tuple, list[int]]:
+    """The grid's edges (u, v), u < v, in ascending order, and the class
+    of each by its id step v - u: 1 horizontal, n vertical, n + 1 diagonal."""
+    step = {1: HORIZONTAL_CLASS, n: VERTICAL_CLASS, n + 1: DIAGONAL_CLASS}
+    edges = make_hex_dual(n).edges
+    return edges, [step[v - u] for u, v in edges]
 
 
 def hex_queue_layout(n: int) -> Layout:
     """3-queue layout of the dual hex grid under row-major order.  The same
     order needs only 2 queues, vertical and diagonal edges sharing one."""
-    g = make_hex_dual(n)
-    step = _step_classes(n)
-    colors = {(u, v): step[v - u] - 1 for u, v in g.edges}
-    return Layout(QUEUE, identity_order(g.vertex_count), EdgeColoring.from_colors(colors))
+    edges, classes = _grid_edge_classes(n)
+    colors = dict(zip(edges, [c - HORIZONTAL_CLASS for c in classes]))
+    return Layout(QUEUE, identity_order(n * n), EdgeColoring.from_colors(colors))
 
 
 def product_block_order(a: int, n: int) -> LinearOrder:
-    """Grid blocks in row-major order; hub first then leaves inside each."""
-    cells = n * n
-    return LinearOrder.from_sequence(
-        [star_id * cells + grid_id for grid_id in range(cells) for star_id in range(a + 1)]
-    )
+    """Grid blocks in row-major order; hub first then leaves inside each.
+    Vertex x * n^2 + y, the copy of cell y in star part x, sits at
+    y * (a + 1) + x, so both tuples are runs of ranges."""
+    cells, copies = n * n, a + 1
+    size = copies * cells
+    sequence = tuple(chain.from_iterable(range(y, size, cells) for y in range(cells)))
+    position = tuple(chain.from_iterable(range(x, size, copies) for x in range(copies)))
+    return LinearOrder(sequence, position)
 
 
 def product_queue_layout(a: int, n: int) -> Layout:
     """4-queue layout of the star-times-grid product.
 
     Star copies get colour 0; product edges inherit the class of the grid
-    edge they run over (horizontal 1, vertical 2, diagonal 3).  Both are
-    read off the id step: a star edge joins copies of one cell, a whole
-    number of n^2 grids apart, and a grid edge steps 1, n or n + 1 < n^2.
+    edge they run over (horizontal 1, vertical 2, diagonal 3).  The
+    colouring is built copy by copy in edge order without the product
+    graph: the hub copy holds the grid's edges and, from each cell y, the
+    star edges (y, y + x * n^2) to its leaf copies; leaf copy x repeats the
+    grid's edges shifted by x * n^2.  Every product edge is one of these.
     """
-    g = make_star_hex_product(a, n)
-    cells, step = n * n, _step_classes(n)
-    colors = {
-        (u, v): STAR_CLASS if v - u >= cells else step[v - u] for u, v in g.edges
-    }
-    return Layout(QUEUE, product_block_order(a, n), EdgeColoring.from_colors(colors))
+    make_star(a)  # refuses a < 1 before n is checked, as the product does
+    edges, classes = _grid_edge_classes(n)
+    cells = n * n
+    size = (a + 1) * cells
+    star = [(y, v) for y in range(cells) for v in range(y + cells, size, cells)]
+    colors = dict.fromkeys(sorted(chain(edges, star)), STAR_CLASS)  # the hub copy
+    colors.update(zip(edges, classes))
+    for base in range(cells, size, cells):
+        colors.update(zip([(base + u, base + v) for u, v in edges], classes))
+    k = 1 + max(classes, default=STAR_CLASS)  # a star edge is always there
+    return Layout(QUEUE, product_block_order(a, n), EdgeColoring(colors, k))

@@ -22,20 +22,23 @@ PALETTE = (
 def graph_to_dot(g: Graph, layout: Optional[Layout] = None) -> str:
     """Undirected DOT text; with a layout, edges are coloured by class.
     A grid cell's label prints as [a,b] and a product vertex's as
-    (part,[a,b]), each cell's text made once; any other label as itself.
-    The lines are joined in runs of at most graphs' chunk of vertices or
-    adjacency rows."""
+    (part,[a,b]), each cell's text made once and each product vertex's line
+    written by one f-string; any other label as itself.  The lines are
+    joined in runs of at most graphs' chunk of vertices or adjacency rows."""
     texts, pieces = PairTexts(), ["graph G {"]
+    ids = list(map(str, range(len(g.adjacency))))  # each id formatted once
     for lo, labels in blocks(g.labels):
-        if g.kind == "product":
-            labels = [f"({texts[part]},{texts[cell]})" for part, cell in labels]
+        run = zip(ids[lo:lo + len(labels)], labels)
+        if g.kind == "product":  # one f-string per vertex
+            lines = [f'  {i} [label="({texts[part]},{texts[cell]})"];' for i, (part, cell) in run]
         elif g.kind == "hex":
-            labels = map(texts.__getitem__, labels)
-        pieces.append("\n".join([f'  {i} [label="{t}"];' for i, t in enumerate(labels, lo)]))
+            lines = [f'  {i} [label="{texts[x]}"];' for i, x in run]
+        else:
+            lines = [f'  {i} [label="{x}"];' for i, x in run]
+        pieces.append("\n".join(lines))
     tones = {} if layout is None else {
         e: f' [color="{PALETTE[c % len(PALETTE)]}"]' for e, c in layout.coloring.colors.items()
     }
-    ids = list(map(str, range(len(g.adjacency))))  # each id formatted once
     for lo, rows in blocks(g.adjacency):
         pieces.append("\n".join([
             f"  {ids[u]} -- {ids[w]}{tones.get((u, w), '')};" if tones else f"  {ids[u]} -- {ids[w]};"

@@ -12,6 +12,7 @@ from collections import deque
 from itertools import combinations, permutations
 
 from linlay import (
+    EdgeColoring,
     Graph,
     GridCoord,
     InsufficientScale,
@@ -22,6 +23,7 @@ from linlay import (
     classify_pair,
     hex_coord,
     make_hex_dual,
+    make_star_hex_product,
     min_queue_colors_for_order,
     min_stack_colors_for_order,
     plain_graph,
@@ -168,6 +170,27 @@ def label_queue_colors(g):
         p, q = g.labels[u].grid_part, g.labels[v].grid_part
         colors[(u, v)] = 0 if p == q else direction(p, q)
     return colors
+
+
+def step_class_queue_coloring(a, n):
+    """product_queue_layout's colouring with every edge of the built product
+    classified on its own by its id step: a star edge joins copies of one
+    cell, a whole number of n^2 grids apart (0); a grid edge steps 1, n or
+    n + 1 < n^2 (horizontal 1, vertical 2, diagonal 3)."""
+    g = make_star_hex_product(a, n)
+    cells, step = n * n, {1: 1, n: 2, n + 1: 3}
+    colors = {(u, v): 0 if v - u >= cells else step[v - u] for u, v in g.edges}
+    return EdgeColoring.from_colors(colors)
+
+
+def comprehension_block_order(a, n):
+    """product_block_order with the copies of each grid cell, hub first,
+    listed by one comprehension and checked as a permutation by
+    LinearOrder.from_sequence."""
+    cells = n * n
+    return LinearOrder.from_sequence(
+        [star_id * cells + grid_id for grid_id in range(cells) for star_id in range(a + 1)]
+    )
 
 
 def graph_json_dict(g):

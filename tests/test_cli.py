@@ -521,7 +521,7 @@ def test_byte_identical_reruns(args):
 
 
 # ---------------------------------------------------------------------------
-# benchmark tracer
+# benchmark tracer and inputs
 
 def test_tracer_targets_name_existing_functions():
     # bench/tracer.py imports linlay.cli, runs `import linlay` and looks
@@ -550,6 +550,32 @@ def test_tracer_targets_name_existing_functions():
     assert targets
     for name, loaded, callable_ in targets:
         assert loaded and callable_, name
+
+
+# sha256 of each directory bench/make_inputs.py writes at seed 0 and full
+# sizes, summed as bench/run.py's _digest_dir does (each sorted name, then
+# its file's sha256); bench/digests.json pins only the jobs' stdout, and a
+# verify job prints {"valid":true,...} whatever path its layout file takes
+INPUT_DIGESTS = {
+    "exact-small": "22982955eb9fa75cc9ea579c785fc66d0512afe90b5283f250ce34bb9340f4bb",
+    "layouts-large": "c3528665eda769105f5b28ef4999b7181277ee345571a802e1ea27fdcdfb3860",
+    "grid-witness": "d27e5026c046cc2859ed412dd7a5651e486de6179240708011fb25d34f90027a",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(INPUT_DIGESTS))
+def test_benchmark_inputs_are_byte_identical(workload, tmp_path):
+    script = Path(__file__).resolve().parent.parent / "bench" / "make_inputs.py"
+    src = str(Path(linlay.__file__).resolve().parent.parent)
+    subprocess.run(
+        [sys.executable, str(script), workload, "0", "full", str(tmp_path)],
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(tmp_path)):
+        digest.update(name.encode())
+        digest.update(hashlib.sha256((tmp_path / name).read_bytes()).digest())
+    assert digest.hexdigest() == INPUT_DIGESTS[workload]
 
 
 def test_start_up_imports():

@@ -1,6 +1,7 @@
 import pytest
 
 from linlay import (
+    InvalidParameterError,
     hex_queue_layout,
     make_hex_dual,
     make_star_hex_product,
@@ -10,7 +11,12 @@ from linlay import (
     verify_layout,
 )
 
-from oracles import label_queue_colors, weakly_nesting_pairs
+from oracles import (
+    comprehension_block_order,
+    label_queue_colors,
+    step_class_queue_coloring,
+    weakly_nesting_pairs,
+)
 
 
 def test_single_cell_grid_layout():
@@ -120,3 +126,37 @@ def test_same_class_product_edges_have_equal_spans():
         spans.setdefault(c, set()).add(abs(pos[u] - pos[v]))
     for c, widths in spans.items():
         assert len(widths) == 1
+
+
+# n = 1 has no grid edges, and its step table {1: H, 1: V, 2: D} collides
+@pytest.mark.parametrize(
+    "a, n", [(a, n) for a in range(1, 5) for n in range(1, 6)] + [(20, 10), (1024, 4)]
+)
+def test_copy_by_copy_layout_equals_the_per_edge_classifier(a, n):
+    layout = product_queue_layout(a, n)
+    expected = step_class_queue_coloring(a, n)
+    assert layout.coloring == expected  # the colours and k
+    assert list(layout.coloring.colors) == list(expected.colors)  # in edge order
+    order = comprehension_block_order(a, n)
+    assert (layout.order.sequence, layout.order.position) == (order.sequence, order.position)
+    assert product_block_order(a, n) == order
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_block_order_without_leaves_is_the_grid_order(n):
+    order, expected = product_block_order(0, n), comprehension_block_order(0, n)
+    assert (order.sequence, order.position) == (expected.sequence, expected.position)
+    assert order.sequence == tuple(range(n * n))
+
+
+def test_product_layout_refuses_sizes_as_the_product_does():
+    for a, n, message in ((0, 3, "a must"), (3, 0, "n must"), (0, 0, "a must")):
+        for build in (product_queue_layout, make_star_hex_product):
+            with pytest.raises(InvalidParameterError, match=f"^{message} be a positive integer$"):
+                build(a, n)
+
+
+def test_product_layout_leaves_the_product_edges_unbuilt():
+    make_star_hex_product.cache_clear()
+    product_queue_layout(5, 3)
+    assert "edges" not in vars(make_star_hex_product(5, 3))
