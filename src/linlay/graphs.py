@@ -279,11 +279,21 @@ _CANONICAL_HEADER = re.compile(
 _MIN_VERTEX_BYTES = 20  # graph_to_json spends more on a hex or product vertex
 
 
+def matches_pieces(text: str, pieces, pos: int = 0) -> bool:
+    """Whether ``text`` from ``pos`` on is the pieces joined, each compared in
+    place as it is made, then at most one newline."""
+    for piece in pieces:
+        if not text.startswith(piece, pos):
+            return False
+        pos += len(piece)
+    return text[pos:] in ("", "\n")
+
+
 def _canonical_graph(text: str) -> Optional[Graph]:
     """The hex grid or product whose graph_to_json text is ``text``, at most
     one newline after it, built from the header's sizes (unless the text
-    could not hold that graph) and compared with the writer's pieces in
-    place, one at a time; else None."""
+    could not hold that graph) and checked by ``matches_pieces`` against
+    the writer's own pieces; else None."""
     header = _CANONICAL_HEADER.match(text)
     if header is None:
         return None
@@ -292,12 +302,7 @@ def _canonical_graph(text: str) -> Optional[Graph]:
     if (kind == "product") != (a is not None) or len(text) < _MIN_VERTEX_BYTES * copies * n * n:
         return None
     g = make_hex_dual(n) if a is None else make_star_hex_product(copies - 1, n)
-    pos = 0
-    for piece in _json_pieces(g):
-        if not text.startswith(piece, pos):
-            return None
-        pos += len(piece)
-    return g if text[pos:] in ("", "\n") else None
+    return g if matches_pieces(text, _json_pieces(g)) else None
 
 
 def _label_from_json(kind, raw):

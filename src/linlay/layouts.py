@@ -24,7 +24,7 @@ from operator import gt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError, json_int, load_json
-from .graphs import Graph, blocks, normalize_edge
+from .graphs import Graph, blocks, matches_pieces, normalize_edge
 
 STACK = "stack"
 QUEUE = "queue"
@@ -55,7 +55,8 @@ class LinearOrder:
             if not 0 <= v < n or position[v] != -1:
                 raise InvalidParameterError("sequence must be a permutation of 0..n-1")
             position[v] = idx
-        return LinearOrder(seq, tuple(position))
+        # seq[position[i]] == i: the positions reuse the sequence's int objects
+        return LinearOrder(seq, tuple(map(seq.__getitem__, map(position.__getitem__, position))))
 
     def __len__(self) -> int:
         return len(self.sequence)
@@ -382,19 +383,32 @@ def min_queue_colors_for_order(g: Graph, order: LinearOrder):
 # ---------------------------------------------------------------------------
 # JSON form: {"kind": "stack"|"queue", "order": [...], "colors": {"u-v": c}}
 
+def _key_pieces(ids, edges: Sequence, tones: Iterable[str]):
+    """layout_to_json's text after the order: the "u-v":c key of each edge
+    (u and v as ``ids`` writes them, c the next of ``tones``), in runs of
+    at most _CHUNK keys, then the closing }}."""
+    tones = iter(tones)
+    for lo, run in blocks(edges):
+        keys = ",".join([f'"{ids[u]}-{ids[v]}":{c}' for (u, v), c in zip(run, tones)])
+        yield f",{keys}" if lo else keys
+    yield "}}"
+
+
 def layout_to_json(layout: Layout) -> str:
     """The JSON form, with no spaces and the colour keys in edge order.
     Colourings built in edge order make the sort one linear pass.  Each
-    vertex id and each colour is formatted once, so the colour keys must
-    be edges of the order's vertices, as ``verify_layout`` requires."""
+    vertex id and each colour is formatted once; a key with a vertex outside
+    the order's ids, a negative one included, raises InvalidParameterError."""
     colors = layout.coloring.colors
-    ids = list(map(str, range(len(layout.order))))
+    ids = {v: str(v) for v in range(len(layout.order))}
     tones = {c: str(c) for c in set(colors.values())}
     edges = sorted(colors)
-    keys = ",".join([f'"{ids[u]}-{ids[v]}":{tones[c]}'
-                     for (u, v), c in zip(edges, map(colors.__getitem__, edges))])
+    try:
+        keys = "".join(_key_pieces(ids, edges, [tones[colors[e]] for e in edges]))
+    except KeyError as exc:
+        raise InvalidParameterError(f"vertex {exc.args[0]} outside the order's domain") from None
     order = ",".join(map(ids.__getitem__, layout.order.sequence))
-    return f'{{"kind":{json.dumps(layout.kind)},"order":[{order}],"colors":{{{keys}}}}}'
+    return f'{{"kind":{json.dumps(layout.kind)},"order":[{order}],"colors":{{{keys}'
 
 
 def layout_from_json(text: str) -> Layout:
@@ -429,9 +443,8 @@ _COLOUR = re.compile(r'":(0|[1-9][0-9]*)(?=[,}])')
 def _canonical_classes(g: Graph, text: str):
     """The kind, order and colour classes of a document in layout_to_json's
     form whose colour keys are g's edges in ascending order; None for any
-    other text.  For each run of adjacency rows, the colours up to the one
-    after the run's last key are read in one scan, and the run is checked
-    by writing its keys with those colours and comparing the text in place."""
+    other text.  The colours after the header are read in one scan, and the
+    text must match the writer's own key pieces written with them."""
     head = _CANONICAL_HEAD.match(text)
     if head is None:
         return None
@@ -439,32 +452,14 @@ def _canonical_classes(g: Graph, text: str):
         order = LinearOrder.from_sequence(json.loads(head[2]))
     except ValueError:
         return None
-    if len(order) != g.vertex_count:
+    edges, tones = g.edges, _COLOUR.findall(text, head.end())
+    if len(order) != g.vertex_count or len(tones) != len(edges) or not matches_pieces(
+            text, _key_pieces(list(map(str, range(len(order)))), edges, tones), head.end()):
         return None
-    ids = list(map(str, range(len(order))))
     classes: dict[str, list] = defaultdict(list)
-    pos = head.end()
-    for lo, rows in blocks(g.adjacency):
-        edges = [(u, w) for u, row in enumerate(rows, lo) for w in row if u < w]
-        if not edges:
-            continue
-        # a key found in the wrong place only fails the comparison below
-        last = '"{}-{}'.format(*edges[-1])
-        end = _COLOUR.match(text, text.find(last, pos) + len(last))
-        tones = _COLOUR.findall(text, pos, end.end() + 1) if end else []
-        if len(tones) != len(edges):
-            return None
-        piece = ",".join([f'"{ids[u]}-{ids[w]}":{c}' for (u, w), c in zip(edges, tones)])
-        if pos > head.end():
-            piece = "," + piece
-        if not text.startswith(piece, pos):
-            return None
-        pos += len(piece)
-        for e, c in zip(edges, tones):
-            classes[c].append(e)
-    if text[pos:] not in ("}}", "}}\n"):
-        return None
-    return head[1], order, {int(c): edges for c, edges in classes.items()}
+    for e, c in zip(edges, tones):
+        classes[c].append(e)
+    return head[1], order, {int(c): members for c, members in classes.items()}
 
 
 def verify_layout_json(g: Graph, text: str) -> VerifyReport:

@@ -563,19 +563,50 @@ INPUT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(INPUT_DIGESTS))
-def test_benchmark_inputs_are_byte_identical(workload, tmp_path):
+@pytest.fixture(scope="module")
+def bench_inputs(tmp_path_factory):
+    """The directory bench/make_inputs.py writes for a workload at seed 0
+    and full sizes, written once per module."""
     script = Path(__file__).resolve().parent.parent / "bench" / "make_inputs.py"
     src = str(Path(linlay.__file__).resolve().parent.parent)
-    subprocess.run(
-        [sys.executable, str(script), workload, "0", "full", str(tmp_path)],
-        check=True, env={**os.environ, "PYTHONPATH": src},
-    )
+    made = {}
+
+    def inputs(workload):
+        if workload not in made:
+            made[workload] = tmp_path_factory.mktemp(workload)
+            subprocess.run(
+                [sys.executable, str(script), workload, "0", "full", str(made[workload])],
+                check=True, env={**os.environ, "PYTHONPATH": src},
+            )
+        return made[workload]
+
+    return inputs
+
+
+@pytest.mark.parametrize("workload", sorted(INPUT_DIGESTS))
+def test_benchmark_inputs_are_byte_identical(workload, bench_inputs):
+    outdir = bench_inputs(workload)
     digest = hashlib.sha256()
-    for name in sorted(os.listdir(tmp_path)):
+    for name in sorted(os.listdir(outdir)):
         digest.update(name.encode())
-        digest.update(hashlib.sha256((tmp_path / name).read_bytes()).digest())
+        digest.update(hashlib.sha256((outdir / name).read_bytes()).digest())
     assert digest.hexdigest() == INPUT_DIGESTS[workload]
+
+
+def test_benchmark_layout_files_are_read_in_place(bench_inputs):
+    # a file that falls back to the general loader passes every output check
+    # and shows only as time, so each must be recognised as the writer's own
+    outdir = bench_inputs("layouts-large")
+    built = {}
+    for path in sorted(outdir.glob("*.graph.json")):
+        built[path.name.split(".")[0]] = g = linlay.graphs._canonical_graph(path.read_text())
+        assert g is not None, path.name
+    files = [path for suffix in ("queue", "stack", "moved")
+             for path in sorted(outdir.glob(f"*.{suffix}.json"))]
+    assert len(files) >= 3
+    for path in files:
+        g = built[path.name.split(".")[0]]
+        assert linlay.layouts._canonical_classes(g, path.read_text()) is not None, path.name
 
 
 def test_start_up_imports():

@@ -27,16 +27,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linlay import (
+    EdgeColoring,
     InvalidParameterError,
     Layout,
     coloring_from_json,
     graph_from_json,
     graph_to_json,
     hex_queue_layout,
+    identity_order,
     layout_from_json,
     layout_to_json,
     make_hex_dual,
     make_star_hex_product,
+    plain_graph,
     product_queue_layout,
     random_coloring,
     verify_layout,
@@ -219,6 +222,19 @@ def test_canonical_layout_documents_take_the_fast_path():
     assert layouts._CANONICAL_HEAD.match(short) and layouts._canonical_classes(g, short) is None
     with pytest.raises(InvalidParameterError, match="order must cover the graph's vertices exactly"):
         verify_layout_json(g, short)
+
+
+def test_canonical_layout_with_multi_digit_colours_takes_the_fast_path():
+    # one colour per edge, 0..11, then two crossing classes 10 and 11
+    g = plain_graph(6, list(itertools.combinations(range(6), 2))[:12])
+    order = identity_order(6)
+    for colors in (range(12), [10 + i % 2 for i in range(12)]):
+        layout = Layout("stack", order, EdgeColoring.from_colors(dict(zip(g.edges, colors))))
+        text = layout_to_json(layout)
+        kind, _, classes = layouts._canonical_classes(g, text)
+        assert kind == "stack" and sorted(classes) == sorted(set(colors))
+        assert verify_layout_json(g, text) == verify_layout(g, layout)
+    assert not verify_layout(g, layout).valid
 
 
 def perturb_layout(data, doc):

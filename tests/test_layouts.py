@@ -46,6 +46,16 @@ def order_of(seq):
     return LinearOrder.from_sequence(seq)
 
 
+def test_from_sequence_positions_are_the_sequence_ints():
+    # a loaded order holds one int object per vertex, not two
+    seq = list(range(5000))
+    Random(7).shuffle(seq)
+    order = order_of(seq)
+    assert order.position == tuple(sorted(range(5000), key=seq.__getitem__))
+    held = set(map(id, order.sequence))
+    assert all(id(p) in held for p in order.position)
+
+
 # ---------------------------------------------------------------------------
 # predicates
 
@@ -434,3 +444,11 @@ def test_layout_json_shape_and_errors():
         layout_from_json('{"kind": "spiral", "order": [0], "colors": {}}')
     with pytest.raises(InvalidParameterError):
         layout_from_json('{"kind": "queue", "order": [0, 1], "colors": {"0-1": -1}}')
+
+
+@pytest.mark.parametrize("edge, vertex", [((-1, 1), -1), ((0, 3), 3), ((5, 7), 5)])
+def test_layout_json_refuses_keys_outside_the_order(edge, vertex):
+    # a negative id must not be written as the id that many places from the end
+    layout = Layout("stack", identity_order(3), EdgeColoring({(0, 1): 0, edge: 0}, 1))
+    with pytest.raises(InvalidParameterError, match=f"^vertex {vertex} outside the order"):
+        layout_to_json(layout)
