@@ -34,10 +34,22 @@ def json_int(value) -> int:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def load_json(text: str):
-    """Parse a JSON document; syntax errors, integers too long to convert
-    and nesting too deep to decode become InvalidParameterError."""
+    """Parse a JSON document; syntax errors, a key repeated in one object,
+    integers too long to convert and nesting too deep to decode become
+    InvalidParameterError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise InvalidParameterError(f"invalid JSON: {exc}") from exc

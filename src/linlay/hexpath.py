@@ -52,12 +52,14 @@ class GridColoring:
         return hash((self.n, self.rows))
 
     def color(self, coord: GridCoord) -> str:
+        if not (0 < coord.a <= self.n and 0 < coord.b <= self.n):
+            raise InvalidParameterError(f"{coord} lies outside the {self.n} x {self.n} grid")
         return self.rows[coord.b - 1][coord.a - 1]
 
     @cached_property
     def _shared_walk(self):
-        """``_walk(self)``, computed once for both ``boundary_sequence`` and
-        ``find_monochromatic_path``."""
+        """The component walk ``_walk(self)``, made once for both
+        ``boundary_sequence`` and ``find_monochromatic_path``."""
         return _walk(self)
 
     @staticmethod
@@ -104,23 +106,23 @@ def _label(nbrs, key) -> tuple[list[int], list[list[int]], set[tuple[int, int]]]
     return label, pieces, links
 
 
-def _is_connected(nbrs, cells) -> bool:
-    """Whether the nonempty set ``cells`` induces a connected subgraph."""
-    first = next(iter(cells))
-    seen = {first}
-    stack = [first]
-    while stack:
-        for w in nbrs[stack.pop()]:
-            if w in cells and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(cells)
+def _reach(start, nbrs, inside) -> dict:
+    """The breadth-first parent of each vertex reached from ``start``
+    through members of ``inside`` (``start`` itself maps to None),
+    scanning each vertex's neighbours in their listed order."""
+    parent = {start: None}
+    queue = [start]
+    for v in queue:  # grows while it is read
+        for w in nbrs[v]:
+            if w in inside and w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return parent
 
 
-def _walk(coloring: GridColoring) -> tuple[list[int], list[tuple[list[int], Optional[frozenset]]]]:
-    """The component walk on row-major ids: the component number of every
-    cell, and (component, far boundary) per step, with no far boundary on
-    the terminal step."""
+def _walk(coloring: GridColoring) -> list[tuple[list[int], Optional[frozenset]]]:
+    """The component walk on row-major ids: (component, far boundary) per
+    step, with no far boundary on the terminal step."""
     n = coloring.n
     nbrs = hex_neighbours(n)
     label, components, links = _label(nbrs, [c for row in coloring.rows for c in row])
@@ -132,13 +134,7 @@ def _walk(coloring: GridColoring) -> tuple[list[int], list[tuple[list[int], Opti
         tree[q].append(p)
     # the tree path from the component of [1,1] to that of [n,n]
     goal = label[n * n - 1]
-    toward_goal = {goal: None}
-    queue = [goal]
-    for p in queue:
-        for q in tree[p]:
-            if q not in toward_goal:
-                toward_goal[q] = p
-                queue.append(q)
+    toward_goal = _reach(goal, tree, range(len(tree)))
     route = [label[0]]
     while route[-1] != goal:
         route.append(toward_goal[route[-1]])
@@ -151,11 +147,11 @@ def _walk(coloring: GridColoring) -> tuple[list[int], list[tuple[list[int], Opti
         if not (any(w % n == 0 for w in boundary) and any(w < n for w in boundary)):
             raise InternalInvariantError("far boundary misses the left or bottom side")
         # all bounded faces are triangles, which forces the boundary connected
-        if not _is_connected(nbrs, boundary):
+        if len(_reach(next(iter(boundary)), nbrs, boundary)) != len(boundary):
             raise InternalInvariantError("far boundary split into several pieces")
         walk.append((component, boundary))
     walk.append((components[route[len(walk)]], None))
-    return label, walk
+    return walk
 
 
 def boundary_sequence(coloring: GridColoring) -> list[BoundaryStep]:
@@ -173,7 +169,7 @@ def boundary_sequence(coloring: GridColoring) -> list[BoundaryStep]:
             coloring.rows[component[0] // n][component[0] % n],
             None if boundary is None else as_coords(boundary),
         )
-        for component, boundary in coloring._shared_walk[1]
+        for component, boundary in coloring._shared_walk
     ]
 
 
@@ -183,12 +179,12 @@ def find_monochromatic_path(coloring: GridColoring) -> list[GridCoord]:
     Inside the terminal component the path runs bottom-to-top when that
     component touches the top side (preferred), else left-to-right; among
     candidate endpoints the lexicographically smallest coordinate wins.
-    The path is a breadth-first shortest path that scans neighbours in
-    ascending id order, as ``graphs.shortest_path`` does on the grid.
+    The path is a breadth-first shortest path (``_reach``) through the
+    terminal component's cells that scans neighbours in ascending id
+    order, as ``graphs.shortest_path`` does on the grid.
     """
     n = coloring.n
-    label, walk = coloring._shared_walk
-    terminal = walk[-1][0]
+    terminal = coloring._shared_walk[-1][0]
     # on one side of the grid, the smallest id is the smallest coordinate
     if any(v >= n * n - n for v in terminal):
         start = min(v for v in terminal if v < n)
@@ -196,16 +192,7 @@ def find_monochromatic_path(coloring: GridColoring) -> list[GridCoord]:
     else:
         start = min(v for v in terminal if v % n == 0)
         goal = min(v for v in terminal if v % n == n - 1)
-    nbrs, inside = hex_neighbours(n), label[start]
-    prev = {start: None}
-    queue = [start]
-    for v in queue:
-        if v == goal:
-            break
-        for w in nbrs[v]:
-            if label[w] == inside and w not in prev:
-                prev[w] = v
-                queue.append(w)
+    prev = _reach(start, hex_neighbours(n), set(terminal))
     ids = [goal] if goal in prev else []
     while ids and prev[ids[-1]] is not None:
         ids.append(prev[ids[-1]])

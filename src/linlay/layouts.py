@@ -19,7 +19,7 @@ import json
 import re
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 from operator import gt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -159,13 +159,11 @@ def _overlapping_pairs(span_list: list, crossing: bool):
 
 
 def is_pairwise_crossing(order: LinearOrder, edges: Iterable) -> bool:
-    """Every unordered pair crosses; vacuously true below two edges."""
-    span_list = spans(order, edges)
-    return all(
-        spans_cross(s, span_list[j])
-        for i, s in enumerate(span_list)
-        for j in range(i + 1, len(span_list))
-    )
+    """Every unordered pair crosses; vacuously true below two edges.  Pairs
+    are checked by ``crosses`` until one does not cross, so an id outside
+    the order or a repeated edge in a checked pair raises
+    InvalidParameterError, as it does there."""
+    return all(crosses(order, e, f) for e, f in combinations(edges, 2))
 
 
 class EdgeColoring(NamedTuple):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -151,6 +152,21 @@ _PAIR_GRAPH = {"kind": "plain", "vertices": [{"id": 0, "label": 0}, {"id": 1, "l
                "edges": [[0, 1]]}
 _PATH_GRAPH = {"kind": "plain", "vertices": [{"id": v, "label": v} for v in range(3)],
                "edges": [[0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize("graph, layout, key", [
+    # the later colour used to win silently, while "1-0" beside "0-1" was refused
+    (json.dumps(_PAIR_GRAPH), '{"kind":"stack","order":[0,1],"colors":{"0-1":0,"0-1":1}}', "0-1"),
+    ('{"kind":"plain","vertices":[{"id":0,"label":0,"id":1},{"id":1,"label":1}],"edges":[[0,1]]}',
+     '{"kind":"stack","order":[0,1],"colors":{"0-1":0}}', "id"),
+], ids=["layout-colour-key", "graph-vertex-id"])
+def test_repeated_json_key_exits_2(tmp_path, graph, layout, key):
+    (tmp_path / "g.json").write_text(graph)
+    (tmp_path / "l.json").write_text(layout)
+    proc = run_cli("verify", str(tmp_path / "g.json"), str(tmp_path / "l.json"))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: invalid JSON: duplicate key {key!r}\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -591,6 +607,30 @@ def test_benchmark_inputs_are_byte_identical(workload, bench_inputs):
         digest.update(name.encode())
         digest.update(hashlib.sha256((outdir / name).read_bytes()).digest())
     assert digest.hexdigest() == INPUT_DIGESTS[workload]
+
+
+def test_grid_witness_jobs_match_the_benchmark_digests(bench_inputs, monkeypatch, capsys):
+    # every hexpath and witness job of the benchmark, run in process on its
+    # seed-0 inputs, must print exactly what bench/digests.json pins
+    from linlay import cli
+
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    expected = json.loads((bench / "digests.json").read_text())["grid-witness"]
+    monkeypatch.chdir(bench_inputs("grid-witness"))
+    jobs = workloads.jobs_for("grid-witness")
+    assert sorted(job.name for job in jobs) == sorted(expected)
+    for job in jobs:
+        assert job.entry == "cli"
+        capsys.readouterr()
+        # on random orders the witness stops at insufficient scale, exit 4
+        insufficient = job.check == "witness" and not job.params["block"]
+        assert cli.main(list(job.argv)) == (4 if insufficient else 0), job.name
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == expected[job.name], job.name
 
 
 def test_benchmark_layout_files_are_read_in_place(bench_inputs):

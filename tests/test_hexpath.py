@@ -236,6 +236,17 @@ def test_component_cycle_raises(monkeypatch):
         boundary_sequence(GridColoring(2, (("R", "B"), ("B", "R"))))
 
 
+def test_split_far_boundary_raises(monkeypatch):
+    # on the 3 x 3 square grid the far boundary of the red 2 x 2 corner is
+    # the cells right of it and those above it, which share no side
+    square = plain_graph(9, [(v, v + 1) for v in range(9) if v % 3 < 2]
+                         + [(v, v + 3) for v in range(6)])
+    monkeypatch.setattr(linlay.hexpath, "hex_neighbours", lambda n: square.adjacency)
+    coloring = GridColoring(3, (("R", "R", "B"), ("R", "R", "B"), ("B", "B", "B")))
+    with pytest.raises(InternalInvariantError, match="far boundary split into several pieces"):
+        boundary_sequence(coloring)
+
+
 # ---------------------------------------------------------------------------
 # path extraction
 
@@ -305,6 +316,16 @@ def test_deterministic_output():
     c1, c2 = random_coloring(6, rng1), random_coloring(6, rng2)
     assert c1 == c2
     assert find_monochromatic_path(c1) == find_monochromatic_path(c2)
+
+
+def test_color_refuses_coordinates_outside_the_grid():
+    # [0, 0] used to read [n, n] through index -1, and [n + 1, 1] an IndexError
+    coloring = GridColoring(3, (("R", "B", "B"), ("B", "B", "B"), ("B", "B", "B")))
+    assert coloring.color(GridCoord(1, 1)) == "R"
+    assert coloring.color(GridCoord(3, 3)) == "B"
+    for a, b in [(0, 0), (4, 1), (1, 4), (0, 2), (2, 0), (-1, -1)]:
+        with pytest.raises(InvalidParameterError, match="outside the 3 x 3 grid"):
+            coloring.color(GridCoord(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,19 @@ def test_is_pairwise_crossing_cases():
     assert not is_pairwise_crossing(o, [(0, 3), (1, 2)])
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(-1, 1), (0, 2)], "vertex -1 outside"),  # -1 must not wrap to the last position
+    ([(0, 2), (1, 4)], "vertex 4 outside"),
+    ([(0, 2), (2, 0)], "two distinct edges"),
+])
+def test_is_pairwise_crossing_refuses_what_crosses_refuses(edges, message):
+    o = order_of([0, 1, 2, 3])
+    with pytest.raises(InvalidParameterError, match=message):
+        crosses(o, *edges)
+    with pytest.raises(InvalidParameterError, match=message):
+        is_pairwise_crossing(o, edges)
+
+
 def test_largest_crossing_matches_subset_scan():
     rng = Random(73)
     for _ in range(300):
