@@ -45,4 +45,4 @@ print("\nscale parameters for target witness sizes:")
 for s in (1, 2, 3):
     p = required_parameters(s)
     print(f"  s={s}: grid {p.n}x{p.n}, c={p.c}, d={p.d}, leaf bound about "
-          f"10^{p.a_digits - 1} (that is {p.b_bound}^{p.a_exponent})")
+          f"10^{p.a_digits - 1} (that is {p.b_bound}^{p.m})")

@@ -307,4 +307,12 @@ def main(argv=None) -> int:
 
 
 def script() -> None:
-    raise SystemExit(main())
+    """Process entry of ``linlay`` and ``python -m linlay``: ``main``, then a
+    flush and ``os._exit``, which skips the interpreter's teardown."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:  # the interpreter's own exit reports it, as before
+        raise SystemExit(code)
+    os._exit(code)

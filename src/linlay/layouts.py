@@ -125,24 +125,24 @@ def spans_nest(s: tuple[int, int], t: tuple[int, int]) -> bool:
     return (a1 < a2 and b2 < b1) or (a2 < a1 and b1 < b2)
 
 
-def _edge_pair_spans(order: LinearOrder, e, f) -> list[tuple[int, int]]:
-    n = len(order)
-    for v in (*e, *f):
-        if not 0 <= v < n:
+def _checked_spans(order: LinearOrder, edges) -> list[tuple[int, int]]:
+    edges = list(edges)
+    for v in chain.from_iterable(edges):
+        if not 0 <= v < len(order):
             raise InvalidParameterError(f"vertex {v} outside the order's domain")
-    if normalize_edge(*e) == normalize_edge(*f):
+    if len({normalize_edge(*e) for e in edges}) < len(edges):
         raise InvalidParameterError("predicates need two distinct edges")
-    return spans(order, (e, f))
+    return spans(order, edges)
 
 
 def crosses(order: LinearOrder, e, f) -> bool:
     """True iff the endpoint positions strictly interleave."""
-    return spans_cross(*_edge_pair_spans(order, e, f))
+    return spans_cross(*_checked_spans(order, (e, f)))
 
 
 def nests(order: LinearOrder, e, f) -> bool:
     """True iff one edge's positions strictly contain the other's."""
-    return spans_nest(*_edge_pair_spans(order, e, f))
+    return spans_nest(*_checked_spans(order, (e, f)))
 
 
 def _overlapping_pairs(span_list: list, crossing: bool):
@@ -159,11 +159,10 @@ def _overlapping_pairs(span_list: list, crossing: bool):
 
 
 def is_pairwise_crossing(order: LinearOrder, edges: Iterable) -> bool:
-    """Every unordered pair crosses; vacuously true below two edges.  Pairs
-    are checked by ``crosses`` until one does not cross, so an id outside
-    the order or a repeated edge in a checked pair raises
-    InvalidParameterError, as it does there."""
-    return all(crosses(order, e, f) for e, f in combinations(edges, 2))
+    """Every unordered pair crosses; vacuously true below two edges.  An id
+    outside the order or a repeated edge anywhere in ``edges`` raises
+    InvalidParameterError first, as it does in ``crosses``."""
+    return all(spans_cross(s, t) for s, t in combinations(_checked_spans(order, edges), 2))
 
 
 class EdgeColoring(NamedTuple):

@@ -48,7 +48,6 @@ class ScaleParameters(NamedTuple):
     c: int
     d: int
     b_bound: int
-    a_exponent: int
     a_digits: int
 
 
@@ -75,7 +74,7 @@ def required_parameters(s: int) -> ScaleParameters:
         digits = int(
             (Decimal(m) * Decimal(b_bound).log10()).to_integral_value(rounding="ROUND_FLOOR")
         ) + 1
-    return ScaleParameters(s, n, m, c, d, b_bound, m, digits)
+    return ScaleParameters(s, n, m, c, d, b_bound, digits)
 
 
 class WitnessReport(NamedTuple):
@@ -315,7 +314,7 @@ def parameters_to_json_dict(params: ScaleParameters) -> dict:
         "b_bound": params.b_bound,
         "a_bound": {
             "base": params.b_bound,
-            "exponent": params.a_exponent,
+            "exponent": params.m,
             "digits": params.a_digits,
         },
     }

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,8 @@ from linlay import (
     layout_to_json,
     LinearOrder,
     graph_to_json,
+    make_hex_dual,
+    make_star_hex_product,
     product_queue_layout,
     stack_number,
 )
@@ -537,13 +540,86 @@ def test_byte_identical_reruns(args):
 
 
 # ---------------------------------------------------------------------------
+# one exit path: `python -m linlay` and the `linlay` script both end in
+# cli.script, which flushes and skips the interpreter's teardown
+
+def _exit_path_args(tmp_path):
+    graph = tmp_path / "k4.json"
+    graph.write_text(graph_to_json(complete_graph(4)))
+    hex3 = tmp_path / "h3.json"
+    hex3.write_text(graph_to_json(make_hex_dual(3)))
+    product = tmp_path / "product.json"
+    product.write_text(graph_to_json(make_star_hex_product(5, 3)))
+    stack = tmp_path / "stack.json"  # the 4-queue layout read as stacks has crossings
+    stack.write_text(layout_to_json(product_queue_layout(5, 3)._replace(kind="stack")))
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"kind": "plain", "vertices": [')
+    return {
+        "solve": ("solve", str(graph), "--kind", "stack"),
+        "gen-large": ("gen", "product", "--a", "20", "--n", "10"),
+        "invalid-layout": ("verify", str(product), str(stack)),
+        "malformed-graph": ("solve", str(broken), "--kind", "stack"),
+        # `k` is printed before the unwritable --output fails
+        "unwritable-output": ("solve", str(graph), "--kind", "stack",
+                              "--output", str(tmp_path / "missing" / "layout.json")),
+        "usage-error": ("gen", "star", "--a", "0"),
+        "order-cap": ("solve", str(hex3), "--kind", "stack", "--max-orders", "1"),
+        "insufficient-scale": ("witness", "--a", "2", "--n", "2", "--c", "5", "--d", "50",
+                               "--random"),
+    }
+
+
+@pytest.mark.parametrize("case, code", [
+    ("solve", 0), ("gen-large", 0), ("invalid-layout", 1), ("malformed-graph", 2),
+    ("unwritable-output", 2), ("usage-error", 2), ("order-cap", 3), ("insufficient-scale", 4),
+])
+def test_process_exit_matches_main_in_process(tmp_path, capsysbinary, case, code):
+    from linlay import cli
+
+    args = _exit_path_args(tmp_path)[case]
+    try:
+        in_process = cli.main(list(args))
+    except SystemExit as exc:  # argparse's own exit
+        in_process = exc.code
+    out, err = capsysbinary.readouterr()
+    assert in_process == code
+    # block-buffered stdout, so output left unflushed before the exit would be lost
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-m", "linlay", *args], capture_output=True, env=env)
+    # the unwritable --output message names a random temporary file
+    temp = re.compile(rb"\.linlay-\w+")
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert temp.sub(b".linlay-*", proc.stderr) == temp.sub(b".linlay-*", err)
+
+
+def test_script_leaves_the_whole_output_file(tmp_path):
+    out = tmp_path / "product.json"
+    proc = run_cli("gen", "product", "--a", "20", "--n", "10", "--output", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert out.read_text() == graph_to_json(make_star_hex_product(20, 10)) + "\n"
+
+
+def test_main_module_runs_the_console_script_entry(monkeypatch):
+    import runpy
+
+    from linlay import cli
+
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^linlay = "linlay\.cli:script"$', pyproject, re.M)
+    calls = []
+    monkeypatch.setattr(cli, "script", lambda: calls.append("script"))
+    runpy.run_module("linlay", run_name="__main__")
+    assert calls == ["script"]
+
+
+# ---------------------------------------------------------------------------
 # benchmark tracer and inputs
 
 def test_tracer_targets_name_existing_functions():
     # bench/tracer.py imports linlay.cli, runs `import linlay` and looks
     # every target up in sys.modules, so a target module that this leaves
     # unloaded, or a renamed or deleted function, breaks a traced benchmark
-    # run; a lazy linlay/__init__ (ROADMAP item 6) must change the tracer first
+    # run; a lazy linlay/__init__ (ROADMAP item 11) waits on item 2's tracer change
     code = (
         "import importlib.util, json, sys\n"
         "spec = importlib.util.spec_from_file_location('bench_tracer', sys.argv[1])\n"

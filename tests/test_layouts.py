@@ -121,11 +121,15 @@ def test_is_pairwise_crossing_cases():
     ([(-1, 1), (0, 2)], "vertex -1 outside"),  # -1 must not wrap to the last position
     ([(0, 2), (1, 4)], "vertex 4 outside"),
     ([(0, 2), (2, 0)], "two distinct edges"),
+    ([(-1, 9)], "vertex -1 outside"),  # no pair to compare
+    ([(0, 3), (1, 2), (-1, 9)], "vertex -1 outside"),  # after a pair that does not cross
+    ([(1, 2), (0, 3), (2, 1)], "two distinct edges"),  # likewise
 ])
 def test_is_pairwise_crossing_refuses_what_crosses_refuses(edges, message):
     o = order_of([0, 1, 2, 3])
+    # the first and the last edge hold the fault
     with pytest.raises(InvalidParameterError, match=message):
-        crosses(o, *edges)
+        crosses(o, edges[0], edges[-1])
     with pytest.raises(InvalidParameterError, match=message):
         is_pairwise_crossing(o, edges)
 

@@ -36,7 +36,7 @@ RECORD_FIELDS = {
     LeafFamily: ("leaves", "direction"),
     Selection: ("kind", "indices"),
     SolveResult: ("k", "layout", "exact", "orders_scanned", "lower_bound"),
-    ScaleParameters: ("s", "n", "m", "c", "d", "b_bound", "a_exponent", "a_digits"),
+    ScaleParameters: ("s", "n", "m", "c", "d", "b_bound", "a_digits"),
     WitnessReport: (
         "case", "edges", "family_size_b", "chain_or_antichain_size", "lower_bound", "trace",
     ),

@@ -35,7 +35,7 @@ from linlay.witness import (
 def test_parameters_s1():
     p = required_parameters(1)
     assert (p.n, p.m, p.c, p.d) == (2, 8, 2, 17)
-    assert (p.b_bound, p.a_exponent) == (17, 8)
+    assert (p.b_bound, p.m) == (17, 8)
     assert p.a_digits == len(str(17 ** 8)) == 10
 
 
