@@ -108,7 +108,7 @@ def _emit(text: str, output: str | None) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise InvalidParameterError(f"cannot write {output}: {exc}") from exc
+        raise InvalidParameterError(f"cannot write {output}: {exc.strerror}") from exc
 
 
 def _read(path: str) -> str:
@@ -152,12 +152,15 @@ def _cmd_solve(args) -> int:
     if not result.exact:
         return _budget_exceeded(result.lower_bound, result.k,
                                 orders_scanned=result.orders_scanned)
-    print(result.k)
     if args.format == "dot":
         text = graph_to_dot(g, result.layout).rstrip("\n")
     else:
         text = layout_to_json(result.layout)
-    _emit(text, args.output)
+    if args.output is not None:  # the file before k, so a failed write leaves stdout empty
+        _emit(text, args.output)
+    print(result.k)
+    if args.output is None:
+        print(text)
     return EXIT_OK
 
 
@@ -289,10 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:  # argparse's --help (0) or a usage error (2)
+            code = exc.code
         sys.stdout.flush()
         return code
     except InvalidParameterError as exc:
@@ -307,12 +312,6 @@ def main(argv=None) -> int:
 
 
 def script() -> None:
-    """Process entry of ``linlay`` and ``python -m linlay``: ``main``, then a
-    flush and ``os._exit``, which skips the interpreter's teardown."""
-    code = main()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:  # the interpreter's own exit reports it, as before
-        raise SystemExit(code)
-    os._exit(code)
+    """Entry of ``linlay`` and ``python -m linlay``: ``os._exit`` skips the teardown, as
+    ``main`` returns every code with stdout flushed (stderr is line-buffered)."""
+    os._exit(main())

@@ -314,6 +314,30 @@ def test_closed_stdout_pipe_exits_2_with_one_line():
     _assert_stdout_failure(proc.wait(timeout=60), stderr)
 
 
+@pytest.mark.parametrize("args", [
+    ("solve", "{graph}", "--kind", "stack", "--output", "{missing}"),
+    ("--help",),
+], ids=["unwritable-output", "help"])
+def test_closed_stdout_pipe_before_any_output_exits_2_with_one_line(tmp_path, args):
+    graph = tmp_path / "k4.json"
+    graph.write_text(graph_to_json(complete_graph(4)))
+    paths = {"graph": str(graph), "missing": str(tmp_path / "missing" / "x.json")}
+    # block-buffered stdout, so whatever is printed is still buffered at the exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "linlay", *(a.format(**paths) for a in args)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert "Exception ignored" not in proc.stderr
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_full_stdout_device_exits_2_with_one_line():
     # a few bytes stay buffered until the flush, which is where it fails
@@ -540,8 +564,9 @@ def test_byte_identical_reruns(args):
 
 
 # ---------------------------------------------------------------------------
-# one exit path: `python -m linlay` and the `linlay` script both end in
-# cli.script, which flushes and skips the interpreter's teardown
+# one exit path: `python -m linlay` and the `linlay` script both run
+# cli.script, which returns main's code through os._exit and so skips the
+# interpreter's teardown
 
 def _exit_path_args(tmp_path):
     graph = tmp_path / "k4.json"
@@ -559,7 +584,7 @@ def _exit_path_args(tmp_path):
         "gen-large": ("gen", "product", "--a", "20", "--n", "10"),
         "invalid-layout": ("verify", str(product), str(stack)),
         "malformed-graph": ("solve", str(broken), "--kind", "stack"),
-        # `k` is printed before the unwritable --output fails
+        # the --output file is written before `k`, so nothing reaches stdout
         "unwritable-output": ("solve", str(graph), "--kind", "stack",
                               "--output", str(tmp_path / "missing" / "layout.json")),
         "usage-error": ("gen", "star", "--a", "0"),
@@ -577,19 +602,22 @@ def test_process_exit_matches_main_in_process(tmp_path, capsysbinary, case, code
     from linlay import cli
 
     args = _exit_path_args(tmp_path)[case]
-    try:
-        in_process = cli.main(list(args))
-    except SystemExit as exc:  # argparse's own exit
-        in_process = exc.code
+    in_process = cli.main(list(args))
     out, err = capsysbinary.readouterr()
     assert in_process == code
     # block-buffered stdout, so output left unflushed before the exit would be lost
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.run([sys.executable, "-m", "linlay", *args], capture_output=True, env=env)
-    # the unwritable --output message names a random temporary file
-    temp = re.compile(rb"\.linlay-\w+")
-    assert (proc.returncode, proc.stdout) == (code, out)
-    assert temp.sub(b".linlay-*", proc.stderr) == temp.sub(b".linlay-*", err)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_main_returns_0_after_help(capsys):
+    from linlay import cli
+
+    # in process only: argparse wraps the help text to the terminal's width
+    assert cli.main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out == cli.build_parser().format_help() and err == ""
 
 
 def test_script_leaves_the_whole_output_file(tmp_path):
