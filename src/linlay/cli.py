@@ -1,8 +1,9 @@
 """Command-line surface: gen / verify / solve / hexpath / witness / params.
 
-Exit codes, one meaning each: 0 success; 1 ``verify`` found the layout
-invalid; 2 bad input (an InvalidParameterError or an argparse usage error)
-or an output that cannot be written, stdout included;
+Exit codes, one meaning each: 0 success (``--help`` included); 1 ``verify``
+found the layout invalid; 2 bad input (an InvalidParameterError, a usage
+error among them) or an output that cannot be written, stdout included,
+each reported as one ``error:`` line;
 3 a budget or size limit (a ResourceLimitError), with the bounds known so
 far as one JSON line on stderr; 4 ``witness`` found its path family too
 small (InsufficientScale).  Identical command lines with the same seed
@@ -227,8 +228,15 @@ def _cmd_params(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, subparsers included, whose usage errors raise InvalidParameterError."""
+
+    def error(self, message):
+        raise InvalidParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linlay", description="linear layouts of graphs: generators, verifiers, solvers"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -296,7 +304,7 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             code = args.func(args)
-        except SystemExit as exc:  # argparse's --help (0) or a usage error (2)
+        except SystemExit as exc:  # argparse's --help (0); usage errors raise
             code = exc.code
         sys.stdout.flush()
         return code

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from functools import cached_property, lru_cache, partial
 from itertools import chain, product, repeat
 from typing import Iterable, NamedTuple, Optional
@@ -178,30 +177,39 @@ def star_hex_product_has_edge(a: int, n: int, u: int, v: int) -> bool:
     return y == y2 and x == 0
 
 
+def reach(start, nbrs, inside) -> dict:
+    """The breadth-first parent of each vertex reached from ``start``
+    through members of ``inside`` (``start`` itself maps to None),
+    scanning each vertex's neighbours in their listed order."""
+    parent = {start: None}
+    queue = [start]
+    for v in queue:  # grows while it is read
+        for w in nbrs[v]:
+            if w in inside and w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return parent
+
+
+def climb(parent: dict, v) -> list:
+    """``v``, its parent in ``parent``, that one's parent and so on up to the start."""
+    path = [v]
+    while (v := parent[v]) is not None:
+        path.append(v)
+    return path
+
+
 def shortest_path(
     g: Graph, s: int, t: int, restrict: Optional[Iterable[int]] = None
 ) -> Optional[list[int]]:
     """BFS shortest path from s to t inside the induced subgraph, or None."""
-    allowed = set(range(g.vertex_count)) if restrict is None else set(restrict)
-    if s not in allowed or t not in allowed:
+    if not (0 <= s < g.vertex_count and 0 <= t < g.vertex_count):
+        raise InvalidParameterError(f"endpoints must be vertices 0..{g.vertex_count - 1}")
+    inside = range(g.vertex_count) if restrict is None else set(restrict)
+    if s not in inside or t not in inside:
         raise InvalidParameterError("endpoints must lie inside the restricted set")
-    if s == t:
-        return [s]
-    prev = {s: None}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if w in allowed and w not in prev:
-                prev[w] = v
-                if w == t:
-                    path = [t]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(w)
-    return None
+    parent = reach(s, g.adjacency, inside)
+    return climb(parent, t)[::-1] if t in parent else None
 
 
 # ---------------------------------------------------------------------------

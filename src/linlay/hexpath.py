@@ -27,7 +27,7 @@ from random import Random
 from typing import FrozenSet, NamedTuple, Optional
 
 from .errors import InternalInvariantError, InvalidParameterError, json_int, load_json
-from .graphs import GridCoord, hex_coord, hex_neighbours, make_hex_dual
+from .graphs import GridCoord, climb, hex_coord, hex_neighbours, make_hex_dual, reach
 
 RED = "R"
 BLUE = "B"
@@ -106,20 +106,6 @@ def _label(nbrs, key) -> tuple[list[int], list[list[int]], set[tuple[int, int]]]
     return label, pieces, links
 
 
-def _reach(start, nbrs, inside) -> dict:
-    """The breadth-first parent of each vertex reached from ``start``
-    through members of ``inside`` (``start`` itself maps to None),
-    scanning each vertex's neighbours in their listed order."""
-    parent = {start: None}
-    queue = [start]
-    for v in queue:  # grows while it is read
-        for w in nbrs[v]:
-            if w in inside and w not in parent:
-                parent[w] = v
-                queue.append(w)
-    return parent
-
-
 def _walk(coloring: GridColoring) -> list[tuple[list[int], Optional[frozenset]]]:
     """The component walk on row-major ids: (component, far boundary) per
     step, with no far boundary on the terminal step."""
@@ -133,11 +119,7 @@ def _walk(coloring: GridColoring) -> list[tuple[list[int], Optional[frozenset]]]
         tree[p].append(q)
         tree[q].append(p)
     # the tree path from the component of [1,1] to that of [n,n]
-    goal = label[n * n - 1]
-    toward_goal = _reach(goal, tree, range(len(tree)))
-    route = [label[0]]
-    while route[-1] != goal:
-        route.append(toward_goal[route[-1]])
+    route = climb(reach(label[n * n - 1], tree, range(len(tree))), label[0])
     walk = []
     for here, beyond in zip(route, route[1:]):
         component = components[here]
@@ -147,7 +129,7 @@ def _walk(coloring: GridColoring) -> list[tuple[list[int], Optional[frozenset]]]
         if not (any(w % n == 0 for w in boundary) and any(w < n for w in boundary)):
             raise InternalInvariantError("far boundary misses the left or bottom side")
         # all bounded faces are triangles, which forces the boundary connected
-        if len(_reach(next(iter(boundary)), nbrs, boundary)) != len(boundary):
+        if len(reach(next(iter(boundary)), nbrs, boundary)) != len(boundary):
             raise InternalInvariantError("far boundary split into several pieces")
         walk.append((component, boundary))
     walk.append((components[route[len(walk)]], None))
@@ -179,9 +161,10 @@ def find_monochromatic_path(coloring: GridColoring) -> list[GridCoord]:
     Inside the terminal component the path runs bottom-to-top when that
     component touches the top side (preferred), else left-to-right; among
     candidate endpoints the lexicographically smallest coordinate wins.
-    The path is a breadth-first shortest path (``_reach``) through the
-    terminal component's cells that scans neighbours in ascending id
-    order, as ``graphs.shortest_path`` does on the grid.
+    The path is read back by ``graphs.climb`` from the package's one
+    breadth-first search, ``graphs.reach``, through the terminal
+    component's cells in ascending neighbour order: the path that
+    ``graphs.shortest_path`` gives on the grid restricted to that component.
     """
     n = coloring.n
     terminal = coloring._shared_walk[-1][0]
@@ -192,10 +175,8 @@ def find_monochromatic_path(coloring: GridColoring) -> list[GridCoord]:
     else:
         start = min(v for v in terminal if v % n == 0)
         goal = min(v for v in terminal if v % n == n - 1)
-    prev = _reach(start, hex_neighbours(n), set(terminal))
-    ids = [goal] if goal in prev else []
-    while ids and prev[ids[-1]] is not None:
-        ids.append(prev[ids[-1]])
+    parent = reach(start, hex_neighbours(n), set(terminal))
+    ids = climb(parent, goal) if goal in parent else []
     if len(ids) < n:
         raise InternalInvariantError("terminal component failed to span the grid")
     return [hex_coord(v, n) for v in reversed(ids)]

@@ -105,6 +105,29 @@ def connected_components(g, restrict=None):
     return components
 
 
+def reference_shortest_path(g, s, t, restrict=None):
+    """BFS shortest path from s to t inside the induced subgraph, or None:
+    a deque search that stops at t, scanning each row in ascending order."""
+    allowed = set(range(g.vertex_count)) if restrict is None else set(restrict)
+    if s == t:
+        return [s]
+    prev = {s: None}
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        for w in g.adjacency[v]:
+            if w in allowed and w not in prev:
+                prev[w] = v
+                if w == t:
+                    path = [t]
+                    while prev[path[-1]] is not None:
+                        path.append(prev[path[-1]])
+                    path.reverse()
+                    return path
+                queue.append(w)
+    return None
+
+
 def far_boundary(n, x):
     """Neighbours of the connected cell set ``x`` that lie in the component
     of [n,n] among the other cells of the n x n grid, as grid coordinates.

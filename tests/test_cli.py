@@ -57,13 +57,19 @@ def test_gen_product_counts():
     assert g.vertex_count == 54 and len(g.edges) == 141
 
 
-def test_gen_star_zero_is_usage_error():
-    for args, message in ((("gen", "star", "--a", "0"), "value must be at least 1"),
-                          (("solve", "G", "--kind", "stack", "--max-vertices", "x"),
-                           "'x' is not an integer")):
-        proc = run_cli(*args)
-        assert proc.returncode == 2
-        assert message in proc.stderr
+@pytest.mark.parametrize("args, message", [
+    (("gen", "star", "--a", "0"), "linlay gen star: argument --a: value must be at least 1"),
+    ((), "linlay: the following arguments are required: command"),
+    (("solve", "G", "--kind", "stack", "--max-vertices", "x"),
+     "linlay solve: argument --max-vertices: 'x' is not an integer"),
+    (("gen", "hex", "--n", "3", "--bogus"), "linlay: unrecognized arguments: --bogus"),
+    (("witness", "--a", "1"),
+     "linlay witness: the following arguments are required: --n, --c, --d"),
+], ids=["bad-value", "no-command", "not-an-integer", "unknown-option", "missing-options"])
+def test_usage_error_is_one_error_line(args, message):
+    # the parser's own message, with no usage synopsis before it
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_gen_dot_format():
@@ -588,6 +594,7 @@ def _exit_path_args(tmp_path):
         "unwritable-output": ("solve", str(graph), "--kind", "stack",
                               "--output", str(tmp_path / "missing" / "layout.json")),
         "usage-error": ("gen", "star", "--a", "0"),
+        "no-command": (),
         "order-cap": ("solve", str(hex3), "--kind", "stack", "--max-orders", "1"),
         "insufficient-scale": ("witness", "--a", "2", "--n", "2", "--c", "5", "--d", "50",
                                "--random"),
@@ -596,7 +603,8 @@ def _exit_path_args(tmp_path):
 
 @pytest.mark.parametrize("case, code", [
     ("solve", 0), ("gen-large", 0), ("invalid-layout", 1), ("malformed-graph", 2),
-    ("unwritable-output", 2), ("usage-error", 2), ("order-cap", 3), ("insufficient-scale", 4),
+    ("unwritable-output", 2), ("usage-error", 2), ("no-command", 2), ("order-cap", 3),
+    ("insufficient-scale", 4),
 ])
 def test_process_exit_matches_main_in_process(tmp_path, capsysbinary, case, code):
     from linlay import cli

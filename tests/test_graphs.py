@@ -32,6 +32,7 @@ from oracles import (
     graph_json_dict,
     reference_graph_json,
     reference_graph_to_dot,
+    reference_shortest_path,
 )
 
 
@@ -379,6 +380,31 @@ def test_shortest_path_rejects_outside_restriction():
     g = make_hex_dual(2)
     with pytest.raises(InvalidParameterError):
         shortest_path(g, 0, 3, [0, 1])
+
+
+def test_shortest_path_rejects_endpoints_outside_the_graph():
+    g = make_hex_dual(2)
+    for s, t, restrict in ((-1, 0, [-1, 0]), (99, 0, [0, 99]), (0, 4, None)):
+        with pytest.raises(InvalidParameterError, match="vertices 0..3"):
+            shortest_path(g, s, t, restrict)
+
+
+def test_shortest_path_matches_the_reference_bfs_on_random_restrictions():
+    # the same path, tie-breaks included, or None on both sides when a
+    # sparse restriction splits s from t
+    rng = Random(2357)
+    disconnected = 0
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        g = make_hex_dual(n)
+        keep = rng.uniform(0.2, 1.0)
+        restrict = [v for v in range(n * n) if rng.random() < keep]
+        s, t = rng.randrange(n * n), rng.randrange(n * n)
+        restrict = None if rng.random() < 0.1 else sorted({*restrict, s, t})
+        expected = reference_shortest_path(g, s, t, restrict)
+        assert shortest_path(g, s, t, restrict) == expected
+        disconnected += expected is None
+    assert disconnected > 20
 
 
 # ---------------------------------------------------------------------------

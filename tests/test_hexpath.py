@@ -17,12 +17,16 @@ from linlay import (
     make_hex_dual,
     plain_graph,
     random_coloring,
-    shortest_path,
 )
 from linlay.graphs import hex_neighbours
 from linlay.hexpath import coloring_to_json_dict
 
-from oracles import component_links, far_boundary, longest_monochromatic_path
+from oracles import (
+    component_links,
+    far_boundary,
+    longest_monochromatic_path,
+    reference_shortest_path,
+)
 
 
 def coords(pairs):
@@ -262,8 +266,8 @@ def test_neighbour_table_matches_the_hex_graph():
 
 
 def test_path_is_the_graph_bfs_path_across_the_terminal_component():
-    # the path BFS runs on the neighbour table; the library BFS on the
-    # graph must give the same path, tie-breaks included
+    # the path BFS runs on the neighbour table; an independent deque BFS
+    # on the graph must give the same path, tie-breaks included
     rng = Random(1729)
     for _ in range(300):
         n = rng.randint(1, 40)
@@ -278,7 +282,7 @@ def test_path_is_the_graph_bfs_path_across_the_terminal_component():
         else:
             start = min(v for v in terminal if v % n == 0)
             goal = min(v for v in terminal if v % n == n - 1)
-        expected = shortest_path(make_hex_dual(n), start, goal, restrict=terminal)
+        expected = reference_shortest_path(make_hex_dual(n), start, goal, restrict=terminal)
         assert find_monochromatic_path(coloring) == [hex_coord(v, n) for v in expected]
 
 
