@@ -191,8 +191,9 @@ def reach(start, nbrs, inside) -> dict:
     return parent
 
 
-def climb(parent: dict, v) -> list:
-    """``v``, its parent in ``parent``, that one's parent and so on up to the start."""
+def climb(parent: dict | list, v) -> list:
+    """``v``, its parent in ``parent`` (a dict from ``reach``, or a list by
+    vertex), that one's parent and so on up to the start, whose parent is None."""
     path = [v]
     while (v := parent[v]) is not None:
         path.append(v)
@@ -244,9 +245,9 @@ def _json_pieces(g: Graph):
     the edges (u, w), u < w, in pieces of at most _CHUNK vertices or
     adjacency rows.  A grid cell's label prints as [a,b], a star part as
     "t" or its index and a product vertex's as [part,[a,b]], each text made
-    once; a plain graph's labels print as themselves if ints, else (the
-    tuples of generic products) as the vertex id.  Each id is formatted
-    once, and a product vertex is written by one f-string."""
+    once; a plain graph's labels print as themselves if ints, else as the
+    vertex id.  Each id is formatted once, and a product vertex is written
+    by one f-string."""
     sizes = "".join(
         f',"{key}":{size}' for key, size in (("n", g.hex_n), ("a", g.star_a)) if size is not None
     )

@@ -14,15 +14,16 @@ The monochromatic components are labelled once per colouring, and those
 that touch form a tree: the neighbours of a component inside one piece of
 its complement are connected (every bounded face is a triangle) and of the
 other colour, so each piece meets the component through one component
-only.  The far side of a component is thus the subtree beyond it on the
-tree path to the component of [n,n], and the walk is that path, cut at the
-first component that touches the right or top side.
+only.  The row-major scan records each component's parent, the one earlier
+component it touches.  The far side of a component is the subtree beyond it
+on the parent chain from the component of [n,n] back to that of [1,1]; the
+walk is that chain, cut at the first component that touches the right or
+top side.  ``graphs.reach`` checks each far boundary and gives the path.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
 from random import Random
 from typing import FrozenSet, NamedTuple, Optional
 
@@ -80,13 +81,12 @@ class BoundaryStep(NamedTuple):
     far_boundary: Optional[FrozenSet[GridCoord]]
 
 
-def _label(nbrs, key) -> tuple[list[int], list[list[int]], set[tuple[int, int]]]:
-    """Maximal connected pieces of cells with equal ``key``, found by one
-    row-major scan: the piece number of every cell, each piece's cells in
-    breadth-first order, and the links (p, q), p < q, between pieces that
-    touch, gathered as piece q meets the pieces labelled before it."""
+def _label(nbrs, key) -> tuple[list[int], list[list[int]], list[Optional[int]]]:
+    """Maximal connected pieces of equal-``key`` cells by one row-major scan:
+    each cell's piece number, each piece's cells in breadth-first order and
+    each piece's parent, the one earlier piece it touches (None for piece 0)."""
     label = [-1] * len(key)
-    pieces, links = [], set()
+    pieces, parent = [], []
     for s in range(len(key)):
         if label[s] < 0:
             here, piece, k = key[s], [s], len(pieces)
@@ -101,9 +101,11 @@ def _label(nbrs, key) -> tuple[list[int], list[list[int]], set[tuple[int, int]]]
                             piece.append(w)
                     elif p != k:
                         met.add(p)
-            links.update(zip(met, repeat(k)))
+            if len(met) != (k > 0):  # one earlier piece each, none for piece 0
+                raise InternalInvariantError("monochromatic components do not form a tree")
+            parent.append(met.pop() if met else None)
             pieces.append(piece)
-    return label, pieces, links
+    return label, pieces, parent
 
 
 def _walk(coloring: GridColoring) -> list[tuple[list[int], Optional[frozenset]]]:
@@ -111,15 +113,9 @@ def _walk(coloring: GridColoring) -> list[tuple[list[int], Optional[frozenset]]]
     step, with no far boundary on the terminal step."""
     n = coloring.n
     nbrs = hex_neighbours(n)
-    label, components, links = _label(nbrs, [c for row in coloring.rows for c in row])
-    if len(links) != len(components) - 1:
-        raise InternalInvariantError("monochromatic components do not form a tree")
-    tree = [[] for _ in components]
-    for p, q in links:
-        tree[p].append(q)
-        tree[q].append(p)
+    label, components, parent = _label(nbrs, [c for row in coloring.rows for c in row])
     # the tree path from the component of [1,1] to that of [n,n]
-    route = climb(reach(label[n * n - 1], tree, range(len(tree))), label[0])
+    route = climb(parent, label[-1])[::-1]
     walk = []
     for here, beyond in zip(route, route[1:]):
         component = components[here]

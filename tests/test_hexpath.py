@@ -226,9 +226,10 @@ def test_label_links_match_the_all_cells_pass():
     colorings += [pattern(n) for pattern in (shells, stripes) for n in range(1, 13)]
     for coloring in colorings:
         nbrs = hex_neighbours(coloring.n)
-        label, pieces, links = linlay.hexpath._label(nbrs, [c for row in coloring.rows for c in row])
-        assert links == component_links(nbrs, label)
-        assert len(links) == len(pieces) - 1  # the touching pieces form a tree
+        label, pieces, parent = linlay.hexpath._label(nbrs, [c for row in coloring.rows for c in row])
+        assert parent[0] is None and len(parent) == len(pieces)
+        # the touching pieces form a tree whose edges are the parent links
+        assert {(parent[q], q) for q in range(1, len(pieces))} == component_links(nbrs, label)
 
 
 def test_component_cycle_raises(monkeypatch):

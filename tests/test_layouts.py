@@ -283,6 +283,18 @@ def test_stack_min_improves_on_greedy_colouring():
     assert verify_layout(g, Layout("stack", order_of(seq), coloring)).valid
 
 
+def test_stack_min_pentagram_accepts_only_strictly_fewer_stacks_than_the_cutoff():
+    # under the identity order the pentagram's crossing conflicts form a
+    # 5-cycle: no three edges cross pairwise, yet two stacks do not suffice
+    g = plain_graph(5, [(0, 2), (1, 3), (2, 4), (0, 3), (1, 4)])
+    order = identity_order(5)
+    assert largest_crossing(spans(order, g.edges)) == 2
+    k, coloring = min_stack_colors_for_order(g, order)
+    assert (k, coloring.colors) == (3, {(0, 2): 0, (0, 3): 0, (1, 3): 1, (1, 4): 1, (2, 4): 2})
+    assert min_stack_colors_for_order(g, order, _cutoff=4)[0] == 3
+    assert min_stack_colors_for_order(g, order, _cutoff=3) == (None, None)
+
+
 def test_stack_min_search_depth_is_not_bounded_by_recursion():
     # the instance above followed by a 1,100-edge path that crosses
     # nothing: the search still has to beat DSATUR's 4 stacks, one level

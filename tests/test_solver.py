@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 from random import Random
 
@@ -19,6 +20,7 @@ from linlay import (
 )
 from linlay.solve import density_floor
 
+from make_atlas_table import TABLE, atlas_entry
 from oracles import (
     brute_layout_number,
     brute_min_colors,
@@ -218,6 +220,17 @@ def test_floor_stop_matches_full_scan():
             assert result.exact
             got = (result.k, result.layout.order.sequence, result.layout.coloring.colors)
             assert got == scan_layout_number(g, kind), (kind, g.vertex_count, sorted(g.edges))
+
+
+def test_solve_matches_the_atlas_table_on_every_tenth_graph():
+    # tests/make_atlas_table.py wrote the table from networkx's graph atlas
+    # and checked it against the oracles; a fixed stride of indices keeps
+    # this test fast
+    with open(TABLE) as f:
+        table = json.load(f)
+    assert [entry["index"] for entry in table] == list(range(1253))
+    for entry in table[::10]:
+        assert atlas_entry(entry["index"], entry["n"], entry["edges"]) == entry
 
 
 def test_density_floor_is_a_lower_bound():
