@@ -5,13 +5,12 @@ vertices), with the sha256 of each optimal layout's ``layout_to_json``.
 Run from the repository root; networkx is needed here only, not by the
 package or by the tier-1 test that reads the table back:
 
-    PYTHONPATH=src python tests/make_atlas_table.py [--jobs N] [--brute-edges M] [OUT]
+    PYTHONPATH=src python tests/make_atlas_table.py [OUT]
 
 Each solve is checked against ``oracles.scan_layout_number`` (the same k,
-first optimal order and colouring) and each k against
-``oracles.brute_layout_number`` (a backtracking colouring of every order).
-The brute check takes hours on the densest seven-vertex graphs;
-``--brute-edges M`` keeps it to the graphs with at most M edges.
+first optimal order and colouring) and its k against
+``oracles.brute_layout_number`` (a backtracking colouring of every order up
+to symmetry), on one worker per CPU.
 """
 
 import argparse
@@ -28,30 +27,34 @@ TABLE = os.path.join(HERE, "atlas_solve.json")
 SOLVERS = (("sn", "stack", stack_number), ("qn", "queue", queue_number))
 
 
-def atlas_entry(index, n, edges) -> dict:
-    """The table's entry for the graph on 0..n-1 with these sorted edges."""
+def atlas_entry(index, n, edges, check=None) -> dict:
+    """The table's entry for the graph on 0..n-1 with these sorted edges;
+    ``check(g, kind, result)``, if given, sees each solve."""
+    g = plain_graph(n, edges)
     entry = {"index": index, "n": n, "edges": edges}
     for key, kind, solver in SOLVERS:
-        result = solver(plain_graph(n, edges))
+        result = solver(g)
+        if check:
+            check(g, kind, result)
         entry[key] = result.k
         entry[f"{kind}_sha256"] = hashlib.sha256(layout_to_json(result.layout).encode()).hexdigest()
     return entry
 
 
 def checked_entry(job) -> dict:
-    """``atlas_entry``, with its solves checked against the oracles."""
+    """``atlas_entry``, with each solve checked against the oracles."""
     from oracles import brute_layout_number, scan_layout_number
 
-    index, n, edges, brute = job
-    entry, g = atlas_entry(index, n, edges), plain_graph(n, edges)
-    for key, kind, solver in SOLVERS:
-        layout = solver(g).layout
-        got = (layout.coloring.k, layout.order.sequence, layout.coloring.colors)
-        if got != scan_layout_number(g, kind):
+    index, n, edges = job
+
+    def check(g, kind, result):
+        layout = result.layout
+        if (result.k, layout.order.sequence, layout.coloring.colors) != scan_layout_number(g, kind):
             raise AssertionError(f"atlas graph {index}: {kind} layout differs from the scan oracle")
-        if brute and entry[key] != brute_layout_number(n, [tuple(e) for e in edges], kind):
-            raise AssertionError(f"atlas graph {index}: {key} differs from the brute oracle")
-    return entry
+        if result.k != brute_layout_number(n, [tuple(e) for e in edges], kind):
+            raise AssertionError(f"atlas graph {index}: {kind} k differs from the brute oracle")
+
+    return atlas_entry(index, n, edges, check)
 
 
 def main(argv) -> int:
@@ -59,21 +62,15 @@ def main(argv) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", nargs="?", default=TABLE)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--brute-edges", type=int, default=None)
     args = parser.parse_args(argv)
     sys.path.insert(0, HERE)
-    jobs = []
-    for index, graph in enumerate(networkx.graph_atlas_g()):
-        edges = sorted(sorted(e) for e in graph.edges())
-        brute = args.brute_edges is None or len(edges) <= args.brute_edges
-        jobs.append((index, graph.number_of_nodes(), edges, brute))
-    with Pool(args.jobs) as pool:
+    jobs = [(index, graph.number_of_nodes(), sorted(sorted(e) for e in graph.edges()))
+            for index, graph in enumerate(networkx.graph_atlas_g())]
+    with Pool() as pool:
         entries = pool.map(checked_entry, jobs, chunksize=1)
     with open(args.out, "w") as f:
         f.write("[\n" + ",\n".join(json.dumps(e, separators=(",", ":")) for e in entries) + "\n]\n")
-    print(f"wrote {len(entries)} graphs to {args.out}; "
-          f"{sum(job[3] for job in jobs)} checked by the brute oracle")
+    print(f"wrote {len(entries)} graphs to {args.out}, each checked by both oracles")
     return 0
 
 

@@ -407,38 +407,45 @@ def dsatur_greedy_colors(edges, seq):
     return max(colors.values(), default=-1) + 1, {edges[i]: c for i, c in colors.items()}
 
 
+def orders_up_to_symmetry(n, kind):
+    """One vertex order of 0..n-1 (n >= 2) for each class under reversal
+    and, for stacks, rotation, neither of which changes which edges cross
+    or nest: stack orders put vertex 0 first and keep rest[0] < rest[-1],
+    queue orders keep perm[0] < perm[-1]."""
+    if kind == "stack":
+        return ((0, *rest) for rest in permutations(range(1, n)) if n <= 2 or rest[0] < rest[-1])
+    return (perm for perm in permutations(range(n)) if perm[0] < perm[-1])
+
+
 def brute_layout_number(n_vertices, edges, kind):
-    """Minimum over every vertex order of the per-order brute minimum."""
+    """Minimum over every vertex order, up to symmetry, of the per-order
+    brute minimum."""
+    if not edges:
+        return 0
     best = None
-    for seq in permutations(range(n_vertices)):
+    for seq in orders_up_to_symmetry(n_vertices, kind):
         k = brute_min_colors(edges, seq, kind)
         best = k if best is None else min(best, k)
-        if best == (1 if edges else 0):
+        if best == 1:
             break
     return best
 
 
 def scan_layout_number(g, kind):
-    """Exact stack or queue number by evaluating every vertex order up to
-    symmetry in lexicographic order, keeping the first strictly better one.
+    """Exact stack or queue number by evaluating ``orders_up_to_symmetry``
+    in lexicographic order, keeping the first strictly better one.
 
-    Stack orders pin vertex 0 first and keep rest[0] < rest[-1]; queue
-    orders keep perm[0] < perm[-1].  Unlike the rest of this module it
-    calls the library's per-order minima (the stack one with the best count
-    so far as its cutoff), and it stops only at k = 1, so that it checks
-    the solver's early stop at the density floor, including which optimal
-    order and colouring it returns.  Returns
+    Unlike the rest of this module it calls the library's per-order minima
+    (the stack one with the best count so far as its cutoff), and it stops
+    only at k = 1, so that it checks the solver's early stop at the density
+    floor, including which optimal order and colouring it returns.  Returns
     (k, order sequence, colour dict).
     """
     n = g.vertex_count
     if not g.edges:
         return 0, tuple(range(n)), {}
-    if kind == "stack":
-        orders = ((0, *rest) for rest in permutations(range(1, n)) if n <= 2 or rest[0] < rest[-1])
-    else:
-        orders = (perm for perm in permutations(range(n)) if perm[0] < perm[-1])
     best_k = best = None
-    for seq in orders:
+    for seq in orders_up_to_symmetry(n, kind):
         order = LinearOrder.from_sequence(seq)
         if kind == "stack":
             k, coloring = min_stack_colors_for_order(

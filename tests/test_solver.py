@@ -1,5 +1,6 @@
 import json
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 from random import Random
 
 import pytest
@@ -28,6 +29,7 @@ from oracles import (
     complete_graph,
     cube_graph,
     nonisomorphic_graphs,
+    orders_up_to_symmetry,
     random_tree,
     scan_layout_number,
     square_grid,
@@ -79,6 +81,19 @@ def test_agreement_with_double_enumeration_small():
         g = plain_graph(n, edges)
         assert stack_number(g).k == brute_layout_number(n, edges, "stack")
         assert queue_number(g).k == brute_layout_number(n, edges, "queue")
+
+
+def test_orders_up_to_symmetry_keep_the_brute_minimum():
+    # the brute and scan oracles try one order per class under reversal
+    # (and, for stacks, rotation); on up to five vertices every order agrees
+    for n, edges in nonisomorphic_graphs(5):
+        for kind in ("stack", "queue"):
+            if edges:
+                every = min(brute_min_colors(edges, seq, kind) for seq in permutations(range(n)))
+                assert brute_layout_number(n, edges, kind) == every
+    for n in range(2, 8):
+        assert len(list(orders_up_to_symmetry(n, "stack"))) == max(1, factorial(n - 1) // 2)
+        assert len(list(orders_up_to_symmetry(n, "queue"))) == factorial(n) // 2
 
 
 def test_agreement_five_vertex_sample():
