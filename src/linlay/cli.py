@@ -122,7 +122,7 @@ def _read(path: str) -> str:
 
 def _cmd_gen(args) -> int:
     # H_n is S_0 x H_n and S_a is S_a x H_1
-    _gate_build((getattr(args, "a", 0) + 1) * getattr(args, "n", 1) ** 2)
+    _gate_build((args.a + 1) * args.n ** 2)
     if args.kind == "hex":
         g = make_hex_dual(args.n)
     elif args.kind == "star":
@@ -166,9 +166,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_hexpath(args) -> int:
-    if args.random == (args.coloring is not None):
-        raise InvalidParameterError("provide one of a colouring file or --random --n N")
-    if args.coloring is not None:
+    if not args.random:
         coloring = coloring_from_json(_read(args.coloring))
     elif args.n is None:
         raise InvalidParameterError("--random requires --n")
@@ -195,24 +193,18 @@ def _cmd_hexpath(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    size = (args.a + 1) * args.n * args.n
-    if args.random == (args.order is not None):
-        raise InvalidParameterError("provide one of --order FILE or --random")
-    if args.order is not None:
+    if args.order is not None:  # from_sequence and the witness refuse a wrong permutation
         raw = load_json(_read(args.order))
         if isinstance(raw, dict):
             raw = raw.get("order")
-        if not isinstance(raw, list) or len(raw) != size:
+        if not isinstance(raw, list):
             raise InvalidParameterError("order file must list every product vertex once")
-        try:
-            order = LinearOrder.from_sequence(raw)
-        except InvalidParameterError as exc:
-            raise InvalidParameterError(f"malformed order file: {exc}") from exc
+        order = LinearOrder.from_sequence(raw)
     else:
+        size = (args.a + 1) * args.n * args.n
         _gate_build(size)
-        rng = Random(args.seed)
         seq = list(range(size))
-        rng.shuffle(seq)
+        Random(args.seed).shuffle(seq)
         order = LinearOrder.from_sequence(seq)
     outcome = extract_crossing_witness(args.a, args.n, order, args.c, args.d, trace=args.trace)
     if isinstance(outcome, InsufficientScale):
@@ -240,60 +232,57 @@ def build_parser() -> argparse.ArgumentParser:
         prog="linlay", description="linear layouts of graphs: generators, verifiers, solvers"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options that several subcommands share, each declared once in a parent parser
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "dot"), default="json")
+    seed_trace = argparse.ArgumentParser(add_help=False)
+    seed_trace.add_argument("--seed", type=_int_at_least(0), default=0)
+    seed_trace.add_argument("--trace", action="store_true")
 
     gen = sub.add_parser("gen", help="write a graph as JSON or DOT")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
-    gen_hex = gen_sub.add_parser("hex")
-    gen_hex.add_argument("--n", type=_int_at_least(1), required=True)
-    gen_star = gen_sub.add_parser("star")
-    gen_star.add_argument("--a", type=_int_at_least(1), required=True)
-    gen_product = gen_sub.add_parser("product")
-    gen_product.add_argument("--a", type=_int_at_least(1), required=True)
-    gen_product.add_argument("--n", type=_int_at_least(1), required=True)
-    for p in (gen_hex, gen_star, gen_product):
-        p.add_argument("--output", default=None)
-        p.add_argument("--format", choices=("json", "dot"), default="json")
-        p.set_defaults(func=_cmd_gen)
+    for kind, sizes in (("hex", "n"), ("star", "a"), ("product", "an")):
+        gen_kind = gen_sub.add_parser(kind, parents=[output, fmt])
+        for size in sizes:
+            gen_kind.add_argument(f"--{size}", type=_int_at_least(1), required=True)
+        gen_kind.set_defaults(func=_cmd_gen, a=0, n=1)
 
-    verify = sub.add_parser("verify", help="check a layout file against a graph file")
+    verify = sub.add_parser("verify", parents=[output],
+                            help="check a layout file against a graph file")
     verify.add_argument("graph")
     verify.add_argument("layout")
-    verify.add_argument("--output", default=None)
     verify.set_defaults(func=_cmd_verify)
 
-    solve = sub.add_parser("solve", help="exact stack or queue number of a small graph")
+    solve = sub.add_parser("solve", parents=[output, fmt],
+                           help="exact stack or queue number of a small graph")
     solve.add_argument("graph")
     solve.add_argument("--kind", choices=("stack", "queue"), required=True)
     solve.add_argument("--max-vertices", type=_int_at_least(1), default=9)
     solve.add_argument("--max-orders", type=_int_at_least(1), default=None)
-    solve.add_argument("--output", default=None)
-    solve.add_argument("--format", choices=("json", "dot"), default="json")
     solve.set_defaults(func=_cmd_solve)
 
-    hexpath = sub.add_parser("hexpath", help="monochromatic path in a two-coloured grid")
-    hexpath.add_argument("coloring", nargs="?", default=None)
-    hexpath.add_argument("--random", action="store_true")
+    hexpath = sub.add_parser("hexpath", parents=[output, seed_trace],
+                             help="monochromatic path in a two-coloured grid")
+    source = hexpath.add_mutually_exclusive_group(required=True)
+    source.add_argument("coloring", nargs="?")
+    source.add_argument("--random", action="store_true")
     hexpath.add_argument("--n", type=_int_at_least(1), default=None)
-    hexpath.add_argument("--seed", type=_int_at_least(0), default=0)
-    hexpath.add_argument("--trace", action="store_true")
-    hexpath.add_argument("--output", default=None)
     hexpath.set_defaults(func=_cmd_hexpath)
 
-    witness = sub.add_parser("witness", help="crossing witness for an order of a product")
-    witness.add_argument("--a", type=_int_at_least(1), required=True)
-    witness.add_argument("--n", type=_int_at_least(1), required=True)
-    witness.add_argument("--c", type=_int_at_least(1), required=True)
-    witness.add_argument("--d", type=_int_at_least(1), required=True)
-    witness.add_argument("--order", default=None)
-    witness.add_argument("--random", action="store_true")
-    witness.add_argument("--seed", type=_int_at_least(0), default=0)
-    witness.add_argument("--trace", action="store_true")
-    witness.add_argument("--output", default=None)
+    witness = sub.add_parser("witness", parents=[output, seed_trace],
+                             help="crossing witness for an order of a product")
+    for size in "ancd":
+        witness.add_argument(f"--{size}", type=_int_at_least(1), required=True)
+    source = witness.add_mutually_exclusive_group(required=True)
+    source.add_argument("--order")
+    source.add_argument("--random", action="store_true")
     witness.set_defaults(func=_cmd_witness)
 
-    params = sub.add_parser("params", help="scale parameters for a target witness size")
+    params = sub.add_parser("params", parents=[output],
+                            help="scale parameters for a target witness size")
     params.add_argument("--s", type=_int_at_least(1), required=True)
-    params.add_argument("--output", default=None)
     params.set_defaults(func=_cmd_params)
 
     return parser

@@ -65,7 +65,15 @@ def test_gen_product_counts():
     (("gen", "hex", "--n", "3", "--bogus"), "linlay: unrecognized arguments: --bogus"),
     (("witness", "--a", "1"),
      "linlay witness: the following arguments are required: --n, --c, --d"),
-], ids=["bad-value", "no-command", "not-an-integer", "unknown-option", "missing-options"])
+    (("hexpath",), "linlay hexpath: one of the arguments coloring --random is required"),
+    (("hexpath", "C.json", "--random", "--n", "2"),
+     "linlay hexpath: argument --random: not allowed with argument coloring"),
+    (("witness", "--a", "1", "--n", "1", "--c", "1", "--d", "1"),
+     "linlay witness: one of the arguments --order --random is required"),
+    (("witness", "--a", "1", "--n", "1", "--c", "1", "--d", "1", "--order", "O.json", "--random"),
+     "linlay witness: argument --random: not allowed with argument --order"),
+], ids=["bad-value", "no-command", "not-an-integer", "unknown-option", "missing-options",
+        "hexpath-no-source", "hexpath-two-sources", "witness-no-source", "witness-two-sources"])
 def test_usage_error_is_one_error_line(args, message):
     # the parser's own message, with no usage synopsis before it
     proc = run_cli(*args)
@@ -231,6 +239,8 @@ def test_repeated_json_key_exits_2(tmp_path, graph, layout, key):
          {"g": _PAIR_GRAPH, "l": {"kind": "queue", "order": [0, 1], "colors": {"0-0_1": 0}}}),
         (("gen", "hex", "--n", "2", "--output", "{out}/missing/x.json"), {}),
         (("gen", "hex", "--n", "2", "--output", "{out}"), {}),
+        (("witness", "--a", "1", "--n", "1", "--c", "1", "--d", "1", "--order", "{o}"),
+         {"o": [0]}),
     ],
     ids=["vertex-without-id", "hex-scalar-label", "one-element-edge", "colors-as-list",
          "negative-colour", "non-integer-order-entry", "undecodable-bytes",
@@ -240,7 +250,7 @@ def test_repeated_json_key_exits_2(tmp_path, graph, layout, key):
          "fractional-witness-order-entry", "hexpath-file-and-random",
          "witness-order-and-random", "hex-string-n", "hex-n-mismatch", "star-a-mismatch",
          "product-without-a", "edge-coloured-twice", "padded-edge-key", "underscore-edge-key",
-         "output-in-missing-directory", "output-is-a-directory"],
+         "output-in-missing-directory", "output-is-a-directory", "witness-order-too-short"],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, args, files):
     paths = {"out": str(tmp_path / "out")}
@@ -290,6 +300,18 @@ def test_no_subcommand_exits_1_on_malformed_input(tmp_path, content):
         proc = run_cli(*(a.format(bad=bad, graph=graph, layout=layout) for a in args))
         assert proc.returncode == 2, (slot, proc.stderr[-300:])
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def test_missing_input_file_exits_2_with_one_line(tmp_path):
+    missing = tmp_path / "missing.json"
+    graph, layout = tmp_path / "graph.json", tmp_path / "layout.json"
+    graph.write_text(json.dumps(_PAIR_GRAPH))
+    layout.write_text(json.dumps({"kind": "queue", "order": [0, 1], "colors": {"0-1": 0}}))
+    for slot, args in _INPUT_SLOTS.items():
+        proc = run_cli(*(a.format(bad=missing, graph=graph, layout=layout) for a in args))
+        assert (proc.returncode, proc.stdout) == (2, ""), slot
+        assert proc.stderr.startswith(f"error: cannot read {missing}: "), (slot, proc.stderr)
+        assert len(proc.stderr.splitlines()) == 1, slot
 
 
 def test_oversized_product_header_exits_2(tmp_path):
