@@ -198,7 +198,7 @@ def _cmd_witness(args) -> int:
         if isinstance(raw, dict):
             raw = raw.get("order")
         if not isinstance(raw, list):
-            raise InvalidParameterError("order file must list every product vertex once")
+            raise InvalidParameterError('order file must hold a JSON list (or {"order": [...]})')
         order = LinearOrder.from_sequence(raw)
     else:
         size = (args.a + 1) * args.n * args.n

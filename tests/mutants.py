@@ -2,11 +2,8 @@
 time, to a temporary copy of the repository, run tier-1 there with ``-x``,
 and list the mutants that no test kills.
 
-Run from anywhere; stdlib only, and pytest does not collect it:
-
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py NAME ...     # only these
-    python tests/mutants.py --list
+Run from anywhere with ``python tests/mutants.py``; stdlib only, and
+pytest does not collect it.
 
 A mutant is one exact replacement of text in one file, which must occur
 exactly once.  The unmutated copy runs first and must pass.  Exit 0 when
@@ -14,7 +11,6 @@ every mutant is killed or listed in EQUIVALENT, 1 when another survives,
 2 when the unmutated copy fails or a mutant's text is not found once.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -131,27 +127,15 @@ def first_failure(out: str) -> str:
     return out.strip().splitlines()[-1] if out.strip() else "no output"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and stop")
-    args = parser.parse_args(argv)
-    known = {m[0] for m in MUTANTS}
-    assert len(known) == len(MUTANTS) and set(EQUIVALENT) <= known
-    if args.list:
-        for name, path, _, _, why in MUTANTS:
-            print(f"{name:28} {path:24} {why}")
-        return 0
-    unknown = set(args.names) - known
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
+def main() -> int:
+    names = {m[0] for m in MUTANTS}
+    assert len(names) == len(MUTANTS) and set(EQUIVALENT) <= names
 
     with tempfile.TemporaryDirectory(prefix="linlay-mutants-") as tmp:
         copy = os.path.join(tmp, "repo")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_work"))
-        for name, path, old, _, _ in chosen:
+        for name, path, old, _, _ in MUTANTS:
             with open(os.path.join(copy, path)) as handle:
                 if handle.read().count(old) != 1:
                     print(f"error: {name}: old text not found exactly once in {path}")
@@ -163,7 +147,7 @@ def main(argv=None) -> int:
         print(f"unmutated copy passes ({time.perf_counter() - start:.1f} s)", flush=True)
 
         survivors = []
-        for name, path, old, new, why in chosen:
+        for name, path, old, new, why in MUTANTS:
             target = os.path.join(copy, path)
             with open(target) as handle:
                 original = handle.read()
@@ -188,7 +172,7 @@ def main(argv=None) -> int:
             print(f"{verdict:10} {name:28} {time.perf_counter() - start:6.1f} s  {detail}",
                   flush=True)
 
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed or equivalent; "
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed or equivalent; "
           f"survivors: {', '.join(survivors) or 'none'}")
     return 1 if survivors else 0
 
