@@ -167,12 +167,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_hexpath(args) -> int:
     if not args.random:
+        if args.n is not None or args.seed is not None:
+            raise InvalidParameterError("--n and --seed need --random")
         coloring = coloring_from_json(_read(args.coloring))
     elif args.n is None:
         raise InvalidParameterError("--random requires --n")
     else:
         _gate_build(args.n * args.n)
-        coloring = random_coloring(args.n, Random(args.seed))
+        coloring = random_coloring(args.n, Random(args.seed or 0))
     path = find_monochromatic_path(coloring)
     # a GridCoord, being a tuple, prints as the array [a, b]
     doc = {"n": coloring.n, "color": coloring.color(path[0]), "path": path}
@@ -194,6 +196,8 @@ def _cmd_hexpath(args) -> int:
 
 def _cmd_witness(args) -> int:
     if args.order is not None:  # from_sequence and the witness refuse a wrong permutation
+        if args.seed is not None:
+            raise InvalidParameterError("--seed needs --random")
         raw = load_json(_read(args.order))
         if isinstance(raw, dict):
             raw = raw.get("order")
@@ -204,7 +208,7 @@ def _cmd_witness(args) -> int:
         size = (args.a + 1) * args.n * args.n
         _gate_build(size)
         seq = list(range(size))
-        Random(args.seed).shuffle(seq)
+        Random(args.seed or 0).shuffle(seq)
         order = LinearOrder.from_sequence(seq)
     outcome = extract_crossing_witness(args.a, args.n, order, args.c, args.d, trace=args.trace)
     if isinstance(outcome, InsufficientScale):
@@ -238,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "dot"), default="json")
     seed_trace = argparse.ArgumentParser(add_help=False)
-    seed_trace.add_argument("--seed", type=_int_at_least(0), default=0)
+    seed_trace.add_argument("--seed", type=_int_at_least(0), default=None)  # 0 with --random
     seed_trace.add_argument("--trace", action="store_true")
 
     gen = sub.add_parser("gen", help="write a graph as JSON or DOT")

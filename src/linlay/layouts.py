@@ -2,15 +2,14 @@
 
 A k-stack layout forbids two same-colour edges from crossing; a k-queue
 layout forbids them from nesting.  Both are questions about edge spans,
-the (left, right) positions of an edge's ends: ``spans`` computes them and
-``spans_cross`` / ``spans_nest`` answer them for one pair, and
-``largest_crossing`` sizes the largest pairwise-crossing span set by
-``patience_piles``, which ``monotone`` also uses.  For a fixed order the
-queue minimum is the largest rainbow (chain of pairwise nested edges),
-found by patience piles; the stack minimum is an exact chromatic number
-of the crossing-conflict graph, found by one iterative DSATUR branch and
-bound whose first descent is the greedy colouring and which stops at the
-largest crossing set.
+the (left, right) positions of an edge's ends: ``spans`` computes them,
+``spans_cross`` / ``spans_nest`` answer them for one pair, and one sorted
+listing gives each span the spans that cross or nest it from inside.  For
+a fixed order the queue minimum is the largest rainbow (chain of pairwise
+nested edges), by ``patience_piles``; the stack minimum is the chromatic
+number of the listed crossing-conflict graph, by one iterative DSATUR
+branch and bound that starts with the greedy colouring and stops at the
+largest crossing set, read off the same listing.
 """
 
 from __future__ import annotations
@@ -92,25 +91,6 @@ def patience_piles(values: Sequence) -> list[int]:
     return piles
 
 
-def largest_crossing(span_list: Sequence[tuple[int, int]]) -> int:
-    """Size of the largest pairwise-crossing subset of the spans.
-
-    Sorted by left end, a pairwise-crossing set has every left end before
-    every right end, and both ends strictly increasing; so it straddles
-    the gap just after some left end g.  Per gap this is a longest chain:
-    spans around the gap sorted by (left, -right), then a strictly
-    increasing run of right ends.  Equals the maximum clique of the
-    circle graph the spans define (Gavril).  O(n m log m).
-    """
-    by_left = sorted(span_list, key=lambda s: (s[0], -s[1]))
-    best = 0
-    for g in sorted({a for a, _ in span_list}):
-        rights = [b for a, b in by_left if a <= g < b]
-        if len(rights) > best:
-            best = max(best, 1 + max(patience_piles(rights)))
-    return best
-
-
 def spans_cross(s: tuple[int, int], t: tuple[int, int]) -> bool:
     """True iff the two spans strictly interleave."""
     a1, b1 = s
@@ -145,17 +125,33 @@ def nests(order: LinearOrder, e, f) -> bool:
     return spans_nest(*_checked_spans(order, (e, f)))
 
 
-def _overlapping_pairs(span_list: list, crossing: bool):
-    """Index pairs (i, j), i < j, whose spans cross, or nest if not
-    ``crossing``.  Each span is compared only with the spans whose left end
-    lies strictly inside it, found by bisection: a right end beyond its own
-    makes the pair cross, one inside it makes the pair nest."""
-    by_left = sorted(range(len(span_list)), key=span_list.__getitem__)
-    lefts = [span_list[i][0] for i in by_left]
-    for i, (a, b) in enumerate(span_list):
-        for j in by_left[bisect_right(lefts, a):bisect_left(lefts, b)]:
-            if (span_list[j][1] > b) if crossing else (span_list[j][1] < b):
-                yield (i, j) if i < j else (j, i)
+def _overlapping_pairs(span_list: list, crossing: bool) -> list[list[int]]:
+    """For each span, the indices of the spans that start strictly inside it
+    and end beyond it (they cross), or inside it if not ``crossing`` (they
+    nest), in (left, -right) order.  One sort, then bisection on the left
+    ends; each pair is listed once, under the span that starts first."""
+    by_left = sorted([(a, -b, b, i) for i, (a, b) in enumerate(span_list)])
+    lefts = [a for a, _, _, _ in by_left]
+    partners = []
+    for a, b in span_list:
+        inside = by_left[bisect_right(lefts, a):bisect_left(lefts, b)]
+        partners.append([j for _, _, r, j in inside if r > b] if crossing else
+                        [j for _, _, r, j in inside if r < b])
+    return partners
+
+
+def largest_crossing(span_list: Sequence[tuple[int, int]], crossings: list) -> int:
+    """Size of the largest pairwise-crossing subset of the spans, from their
+    ``_overlapping_pairs`` crossings: sorted by left end, such a set is its
+    first span and spans crossing it from inside with strictly increasing
+    right ends, a patience-pile run in the first span's list (equal left
+    ends have descending right ends there, so they never chain).  The
+    maximum clique of the circle graph the spans define (Gavril)."""
+    best = min(1, len(span_list))
+    for js in crossings:
+        if len(js) >= best:  # the span and its partners could beat best
+            best = max(best, 2 + max(patience_piles([span_list[j][1] for j in js])))
+    return best
 
 
 def is_pairwise_crossing(order: LinearOrder, edges: Iterable) -> bool:
@@ -226,7 +222,9 @@ def _sweep(kind: str, order: LinearOrder, classes: dict) -> VerifyReport:
     keys = []
     for edges, span_list in bad:
         at = [rank[e] for e in edges]
-        keys += [at[i] * m + at[j] for i, j in _overlapping_pairs(span_list, kind == STACK)]
+        partners = _overlapping_pairs(span_list, kind == STACK)
+        keys += [x * m + y if x < y else y * m + x
+                 for x, js in zip(at, partners) if js for y in map(at.__getitem__, js)]
     keys.sort()
     return VerifyReport(False, [(ranked[k // m], ranked[k % m]) for k in keys])
 
@@ -255,14 +253,6 @@ def verify_layout(g: Graph, layout: Layout) -> VerifyReport:
 
 # ---------------------------------------------------------------------------
 # per-order minima
-
-def _conflict_adjacency(span_list: list) -> list:
-    adj = [set() for _ in span_list]
-    for i, j in _overlapping_pairs(span_list, crossing=True):
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
 
 def _exact_coloring(adj, lower: int, best_k: int) -> Optional[list[int]]:
     """A fewest-colour colouring of a conflict graph that uses fewer than
@@ -346,11 +336,16 @@ def min_stack_colors_for_order(
             upper=len(edges),
         )
     span_list = spans(order, edges)
-    lower = largest_crossing(span_list)
+    crossings = _overlapping_pairs(span_list, crossing=True)
+    lower = largest_crossing(span_list, crossings)
     best_k = len(edges) + 1 if _cutoff is None else _cutoff
     if lower >= best_k:
         return None, None
-    colors = _exact_coloring(_conflict_adjacency(span_list), lower, best_k)
+    adj = [list(js) for js in crossings]  # the crossing-conflict graph
+    for i, js in enumerate(crossings):
+        for j in js:
+            adj[j].append(i)
+    colors = _exact_coloring(adj, lower, best_k)
     if colors is None:
         return None, None
     coloring = EdgeColoring.from_colors({e: colors[i] for i, e in enumerate(edges)})

@@ -37,9 +37,16 @@ MUTANTS = [
     ("patience-bisect-side", "src/linlay/layouts.py",
      "j = bisect_left(tails, x)", "j = bisect_right(tails, x)",
      "equal values share a pile, so rainbows and chains are miscounted"),
-    ("largest-crossing-gap", "src/linlay/layouts.py",
-     "if a <= g < b]", "if a <= g <= b]",
-     "a span ending at the gap counts as straddling it"),
+    ("partners-sorted-by-right", "src/linlay/layouts.py",
+     "sorted([(a, -b, b, i)",
+     "sorted([(a, b, b, i)",
+     "partners with one left end chain in the clique's run"),
+    ("clique-off-by-one", "src/linlay/layouts.py",
+     "best = max(best, 2 + max(patience_piles(", "best = max(best, 1 + max(patience_piles(",
+     "the largest crossing set is one too small"),
+    ("conflict-graph-one-way", "src/linlay/layouts.py",
+     "            adj[j].append(i)\n", "            pass\n",
+     "a conflict is seen only from the span that starts first"),
     ("stack-density-floor-le", "src/linlay/solve.py",
      "n + k * (n - 3) < m:", "n + k * (n - 3) <= m:",
      "the stack floor rises one too early at the Bernhart-Kainen bound"),

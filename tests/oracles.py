@@ -28,6 +28,7 @@ from linlay import (
     min_stack_colors_for_order,
     plain_graph,
 )
+from linlay.layouts import patience_piles
 from linlay.poset import NEITHER, SEPARATED_GT, SEPARATED_LT
 from linlay.render import PALETTE
 
@@ -161,6 +162,22 @@ def oracle_nests(pos, e, f):
     a1, b1 = sorted((pos[e[0]], pos[e[1]]))
     a2, b2 = sorted((pos[f[0]], pos[f[1]]))
     return (a1 < a2 and b2 < b1) or (a2 < a1 and b1 < b2)
+
+
+def gap_largest_crossing(span_list):
+    """Size of the largest pairwise-crossing subset of the spans, one gap at
+    a time.  Sorted by left end, a pairwise-crossing set has every left end
+    before every right end, and both ends strictly increasing; so it
+    straddles the gap just after some left end g.  Per gap this is a
+    longest chain: the spans around the gap sorted by (left, -right), then
+    a strictly increasing run of right ends.  O(n m log m)."""
+    by_left = sorted(span_list, key=lambda s: (s[0], -s[1]))
+    best = 0
+    for g in sorted({a for a, _ in span_list}):
+        rights = [b for a, b in by_left if a <= g < b]
+        if len(rights) > best:
+            best = max(best, 1 + max(patience_piles(rights)))
+    return best
 
 
 def all_pairs_violations(layout):

@@ -471,6 +471,15 @@ def test_hexpath_needs_source():
     assert proc.stderr == "error: --random requires --n\n"
 
 
+@pytest.mark.parametrize("flags", [("--n", "5"), ("--seed", "3"), ("--n", "5", "--seed", "0")])
+def test_hexpath_refuses_random_options_with_a_file(tmp_path, flags):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"n": 2, "rows": [["R"] * 2] * 2}))
+    proc = run_cli("hexpath", str(path), *flags)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: --n and --seed need --random\n"
+
+
 # ---------------------------------------------------------------------------
 # witness
 
@@ -510,6 +519,17 @@ def test_witness_order_file(tmp_path):
     assert doc["edges"] == [[0, 8]]
     order = LinearOrder.from_sequence(range(20))
     assert is_pairwise_crossing(order, [tuple(e) for e in doc["edges"]])
+
+
+def test_witness_refuses_a_seed_with_an_order_file(tmp_path):
+    order_path = tmp_path / "order.json"
+    order_path.write_text(json.dumps(list(range(5 * 4))))
+    proc = run_cli(
+        "witness", "--a", "4", "--n", "2", "--c", "2", "--d", "2",
+        "--order", str(order_path), "--seed", "3",
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: --seed needs --random\n"
 
 
 def test_witness_rejects_non_permutation(tmp_path):

@@ -34,6 +34,7 @@ from oracles import (
     brute_min_colors,
     complete_graph,
     dsatur_greedy_colors,
+    gap_largest_crossing,
     layout_json_dict,
     nesting_depth_colors,
     oracle_crosses,
@@ -134,6 +135,10 @@ def test_is_pairwise_crossing_refuses_what_crosses_refuses(edges, message):
         is_pairwise_crossing(o, edges)
 
 
+def clique(span_list):
+    return largest_crossing(span_list, layouts._overlapping_pairs(span_list, crossing=True))
+
+
 def test_largest_crossing_matches_subset_scan():
     rng = Random(73)
     for _ in range(300):
@@ -146,7 +151,25 @@ def test_largest_crossing_matches_subset_scan():
             r for r in range(len(edges) + 1) for subset in combinations(edges, r)
             if all(oracle_crosses(pos, e, f) for e, f in combinations(subset, 2))
         )
-        assert largest_crossing(spans(order_of(seq), edges)) == best
+        assert clique(spans(order_of(seq), edges)) == best
+
+
+def test_largest_crossing_matches_the_gap_scan():
+    # beyond the subset scan's reach: random orders of graphs with up to 64
+    # edges, and block orders of small products
+    rng = Random(29)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(2, 14)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < rng.random()][:64]
+        seq = list(range(n))
+        rng.shuffle(seq)
+        cases.append(spans(order_of(seq), edges))
+    for a, n in ((1, 2), (1, 3), (2, 3), (3, 4), (5, 3), (2, 5)):
+        cases.append(spans(product_block_order(a, n), make_star_hex_product(a, n).edges))
+    assert max(map(clique, cases)) > 6
+    for span_list in cases:
+        assert clique(span_list) == gap_largest_crossing(span_list)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +245,9 @@ def test_verify_fast_path_matches_pair_scan(monkeypatch):
     list_pairs = layouts._overlapping_pairs
 
     def listed(span_list, crossing):
-        pairs = list(list_pairs(span_list, crossing))
-        assert pairs, "a clean colour class was listed"
-        return pairs
+        partners = list_pairs(span_list, crossing)
+        assert any(partners), "a clean colour class was listed"
+        return partners
 
     monkeypatch.setattr(layouts, "_overlapping_pairs", listed)
     rng = Random(4321)
@@ -288,7 +311,7 @@ def test_stack_min_pentagram_accepts_only_strictly_fewer_stacks_than_the_cutoff(
     # 5-cycle: no three edges cross pairwise, yet two stacks do not suffice
     g = plain_graph(5, [(0, 2), (1, 3), (2, 4), (0, 3), (1, 4)])
     order = identity_order(5)
-    assert largest_crossing(spans(order, g.edges)) == 2
+    assert clique(spans(order, g.edges)) == 2
     k, coloring = min_stack_colors_for_order(g, order)
     assert (k, coloring.colors) == (3, {(0, 2): 0, (0, 3): 0, (1, 3): 1, (1, 4): 1, (2, 4): 2})
     assert min_stack_colors_for_order(g, order, _cutoff=4)[0] == 3
