@@ -267,8 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-orders", type=_int_at_least(1), default=None)
     solve.set_defaults(func=_cmd_solve)
 
+    # spelled out, as argparse does not bracket a group that holds a positional
     hexpath = sub.add_parser("hexpath", parents=[output, seed_trace],
-                             help="monochromatic path in a two-coloured grid")
+                             help="monochromatic path in a two-coloured grid",
+                             usage="%(prog)s [-h] [--output OUTPUT] [--seed SEED] [--trace] "
+                                   "[--n N] (coloring | --random)")
     source = hexpath.add_mutually_exclusive_group(required=True)
     source.add_argument("coloring", nargs="?")
     source.add_argument("--random", action="store_true")

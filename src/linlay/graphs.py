@@ -338,6 +338,8 @@ def graph_from_json(text: str) -> Graph:
         kind = doc["kind"]
         if kind not in ("plain", "hex", "star", "product"):
             raise InvalidParameterError(f"unknown graph kind {kind!r}")
+        if type(doc["vertices"]) is not list or type(doc["edges"]) is not list:
+            raise InvalidParameterError("'vertices' and 'edges' must be lists")
         ids = [json_int(v["id"]) for v in doc["vertices"]]
         labels = [_label_from_json(kind, v["label"]) for v in doc["vertices"]]
         pairs, unordered = doc["edges"], None

@@ -202,31 +202,22 @@ def _has_nesting(span_list: list) -> bool:
     return any(map(gt, ends, islice(ends, 1, None)))
 
 
-def _sweep(kind: str, order: LinearOrder, classes: dict) -> VerifyReport:
-    """The report on colour classes, each a list of ascending edges; only
-    a class that crosses (stack) or nests (queue) has its pairs listed.
-    The edges of those classes are numbered in ascending order, so each
-    pair (i, j) is the integer i * m + j and one integer sort puts the
-    pairs in order."""
-    bad = []
-    for c in sorted(classes):
-        edges = classes[c]
-        span_list = spans(order, edges)
-        if _has_crossing(span_list) if kind == STACK else _has_nesting(span_list):
-            bad.append((edges, span_list))
-    if not bad:
-        return VerifyReport(True, [])
-    ranked = sorted(chain.from_iterable(edges for edges, _ in bad))  # ascending runs, merged
-    m = len(ranked)
-    rank = dict(zip(ranked, range(m)))
+def _sweep(kind: str, order: LinearOrder, edges: Sequence, classes: Iterable) -> VerifyReport:
+    """The report on colour classes, lists of ascending edges taken from the
+    ascending ``edges``; only a class that crosses (stack) or nests (queue)
+    has its pairs listed, pair (i, j) of indices into ``edges`` as the
+    integer i * m + j, so one integer sort puts the pairs in order."""
+    m = len(edges)
     keys = []
-    for edges, span_list in bad:
-        at = [rank[e] for e in edges]
-        partners = _overlapping_pairs(span_list, kind == STACK)
-        keys += [x * m + y if x < y else y * m + x
-                 for x, js in zip(at, partners) if js for y in map(at.__getitem__, js)]
+    for members in classes:
+        span_list = spans(order, members)
+        if _has_crossing(span_list) if kind == STACK else _has_nesting(span_list):
+            at = [bisect_left(edges, e) for e in members]
+            partners = _overlapping_pairs(span_list, kind == STACK)
+            keys += [x * m + y if x < y else y * m + x
+                     for x, js in zip(at, partners) if js for y in map(at.__getitem__, js)]
     keys.sort()
-    return VerifyReport(False, [(ranked[k // m], ranked[k % m]) for k in keys])
+    return VerifyReport(not keys, [(edges[k // m], edges[k % m]) for k in keys])
 
 
 def verify_layout(g: Graph, layout: Layout) -> VerifyReport:
@@ -248,7 +239,7 @@ def verify_layout(g: Graph, layout: Layout) -> VerifyReport:
     classes: dict[int, list] = {}
     for e in edges:
         classes.setdefault(colors[e], []).append(e)
-    return _sweep(layout.kind, order, classes)
+    return _sweep(layout.kind, order, edges, classes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +398,8 @@ def layout_from_json(text: str) -> Layout:
     doc = load_json(text)
     try:
         kind = doc["kind"]
+        if type(doc["order"]) is not list:
+            raise InvalidParameterError("'order' must be a list")
         order = LinearOrder.from_sequence(doc["order"])
         colors = {}
         for key, c in doc["colors"].items():
@@ -433,10 +426,10 @@ _COLOUR = re.compile(r'":(0|[1-9][0-9]*)(?=[,}])')
 
 
 def _canonical_classes(g: Graph, text: str):
-    """The kind, order and colour classes of a document in layout_to_json's
-    form whose colour keys are g's edges in ascending order; None for any
-    other text.  The colours after the header are read in one scan, and the
-    text must match the writer's own key pieces written with them."""
+    """``_sweep``'s arguments for a document in layout_to_json's form whose
+    colour keys are g's edges in ascending order; None for any other text.
+    The colours after the header are read in one scan, and the text must
+    match the writer's own key pieces written with them."""
     head = _CANONICAL_HEAD.match(text)
     if head is None:
         return None
@@ -451,7 +444,7 @@ def _canonical_classes(g: Graph, text: str):
     classes: dict[str, list] = defaultdict(list)
     for e, c in zip(edges, tones):
         classes[c].append(e)
-    return head[1], order, {int(c): members for c, members in classes.items()}
+    return head[1], order, edges, classes.values()
 
 
 def verify_layout_json(g: Graph, text: str) -> VerifyReport:

@@ -19,7 +19,7 @@ general).
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import islice, permutations
 from typing import NamedTuple, Optional
 
 from .errors import InternalInvariantError, InvalidParameterError, ResourceLimitError
@@ -79,13 +79,8 @@ def _solve(g: Graph, kind: str, max_vertices: int, max_orders: Optional[int]) ->
         )
     best_k: Optional[int] = None
     best_layout: Optional[Layout] = None
-    scanned = 0
-    exact = True
-    for seq in _orders(g.vertex_count, kind):
-        if max_orders is not None and scanned >= max_orders:
-            exact = False
-            break
-        scanned += 1
+    orders = _orders(g.vertex_count, kind)
+    for scanned, seq in enumerate(islice(orders, max_orders), 1):
         order = LinearOrder.from_sequence(seq)
         if kind == STACK:
             k, coloring = min_stack_colors_for_order(
@@ -98,6 +93,7 @@ def _solve(g: Graph, kind: str, max_vertices: int, max_orders: Optional[int]) ->
             best_layout = Layout(kind, order, coloring)
             if best_k <= floor:
                 break
+    exact = best_k <= floor or next(orders, None) is None
 
     if not verify_layout(g, best_layout).valid:
         raise InternalInvariantError("solver produced an invalid layout")

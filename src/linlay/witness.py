@@ -214,21 +214,12 @@ def extract_crossing_witness(
 
     leaves = family.leaves
     paths = tuple(tuple(u * cells + s for s in slots) for u in leaves)
-    hub_vertices = tuple(slots)  # hub has star id 0
     fam = PathFamily(paths=paths, order=order, leaves=leaves)
 
+    # consecutive leaves' copies compare one way at every slot of the path
     pos = order.position
-    slot_direction = []
-    for j in range(len(slots)):
-        ranks = [pos[p[j]] for p in paths]
-        if all(ranks[i] < ranks[i + 1] for i in range(len(ranks) - 1)):
-            slot_direction.append(1)
-        elif all(ranks[i] > ranks[i + 1] for i in range(len(ranks) - 1)):
-            slot_direction.append(-1)
-        else:
-            raise InternalInvariantError("grid path lost the monotone leaf ordering")
-    if len(paths) > 1 and len(set(slot_direction)) > 1:
-        raise InternalInvariantError("grid path vertices disagree on leaf direction")
+    if len({pos[u] < pos[v] for p, q in zip(paths, paths[1:]) for u, v in zip(p, q)}) > 1:
+        raise InternalInvariantError("grid path lost the monotone leaf ordering")
 
     selection = chain_or_antichain(fam, c, d)
     if isinstance(selection, InsufficientScale):
@@ -236,7 +227,7 @@ def extract_crossing_witness(
 
     if selection.kind == "separated":
         picked = list(selection.indices)[:c]
-        label, edges = case_separated(fam, picked, hub_vertices)
+        label, edges = case_separated(fam, picked, slots)  # hub copies: star id 0, so ids = slots
     else:
         picked = sorted(selection.indices, key=lambda i: (leaves[i], i))[:d]
         if len(picked) < 2:

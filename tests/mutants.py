@@ -47,6 +47,30 @@ MUTANTS = [
     ("conflict-graph-one-way", "src/linlay/layouts.py",
      "            adj[j].append(i)\n", "            pass\n",
      "a conflict is seen only from the span that starts first"),
+    ("sweep-pair-key-one-way", "src/linlay/layouts.py",
+     "keys += [x * m + y if x < y else y * m + x", "keys += [x * m + y",
+     "a pair whose later edge starts first is listed back to front"),
+    ("sweep-bisect-right", "src/linlay/layouts.py",
+     "bisect_left(edges, e)", "bisect_right(edges, e)",
+     "each violating edge is numbered as the edge after it"),
+    ("leaf-order-check", "src/linlay/witness.py",
+     "if len({pos[u] < pos[v] for p, q in zip(paths, paths[1:]) for u, v in zip(p, q)}) > 1:",
+     "if False:",
+     "a grid path whose leaf copies change direction goes unnoticed"),
+    ("separated-case-check", "src/linlay/witness.py",
+     'if not is_pairwise_crossing(order, edges):\n        raise InternalInvariantError("separated',
+     'if False:\n        raise InternalInvariantError("separated',
+     "separated-case edges are not re-verified to cross"),
+    ("crossing-case-check", "src/linlay/witness.py",
+     'if not is_pairwise_crossing(order, edges):\n        raise InternalInvariantError("crossing',
+     'if False:\n        raise InternalInvariantError("crossing',
+     "crossing-case edges are not re-verified to cross"),
+    ("edge-membership-check", "src/linlay/witness.py",
+     "if not star_hex_product_has_edge(a, n, *e):", "if False:",
+     "a witness edge outside the product goes unnoticed"),
+    ("order-cap-always-exact", "src/linlay/solve.py",
+     "next(orders, None) is None", "True",
+     "a scan cut by max_orders still counts as exact"),
     ("stack-density-floor-le", "src/linlay/solve.py",
      "n + k * (n - 3) < m:", "n + k * (n - 3) <= m:",
      "the stack floor rises one too early at the Bernhart-Kainen bound"),

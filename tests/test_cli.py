@@ -270,6 +270,27 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, args, files):
     assert not list(tmp_path.rglob(".linlay-*"))  # no temporary output left behind
 
 
+_NOT_LISTS = "error: malformed graph document: 'vertices' and 'edges' must be lists\n"
+
+
+@pytest.mark.parametrize("args, files, message", [
+    (("solve", "{g}", "--kind", "stack"), {"g": dict(_PAIR_GRAPH, edges={})}, _NOT_LISTS),
+    (("solve", "{g}", "--kind", "stack"), {"g": dict(_PAIR_GRAPH, vertices={}, edges=[])},
+     _NOT_LISTS),
+    (("verify", "{g}", "{l}"), {"g": dict(_PAIR_GRAPH, vertices=[], edges=[]),
+                                "l": {"kind": "stack", "order": {}, "colors": {}}},
+     "error: malformed layout document: 'order' must be a list\n"),
+], ids=["graph-edges", "graph-vertices", "layout-order"])
+def test_empty_object_where_a_list_is_required_exits_2(tmp_path, args, files, message):
+    # an object iterates as its keys, so {} used to read as an empty list
+    paths = {}
+    for name, content in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(content))
+    proc = run_cli(*(a.format(**paths) for a in args))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
 # every subcommand argument that names an input file, the others valid
 _INPUT_SLOTS = {
     "verify-graph": ("verify", "{bad}", "{layout}"),
@@ -469,6 +490,14 @@ def test_hexpath_needs_source():
     proc = run_cli("hexpath", "--random")
     assert proc.returncode == 2
     assert proc.stderr == "error: --random requires --n\n"
+
+
+def test_hexpath_usage_shows_the_source_as_required():
+    # argparse alone prints "[--random] [--n N] [coloring]" once the line wraps
+    proc = run_cli("hexpath", "--help", env=dict(os.environ, COLUMNS="80"))
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: linlay hexpath [-h] [--output OUTPUT] [--seed SEED] "
+                                  "[--trace] [--n N] (coloring | --random)\n")
 
 
 @pytest.mark.parametrize("flags", [("--n", "5"), ("--seed", "3"), ("--n", "5", "--seed", "0")])

@@ -208,8 +208,8 @@ def test_canonical_layout_documents_take_the_fast_path():
         text = layout_to_json(layout)
         with mock.patch.object(graphs, "_CHUNK", chunk):
             for spelled in (text, text + "\n"):
-                kind, order, classes = layouts._canonical_classes(g, spelled)
-                assert (kind, order) == (layout.kind, layout.order)
+                kind, order, edges, _ = layouts._canonical_classes(g, spelled)
+                assert (kind, order, edges) == (layout.kind, layout.order, g.edges)
                 assert verify_layout_json(g, spelled) == verify_layout(g, layout)
             assert layouts._canonical_classes(g, text + "\n\n") is None
     # canonical in form, but the order leaves out the last vertex
@@ -231,8 +231,9 @@ def test_canonical_layout_with_multi_digit_colours_takes_the_fast_path():
     for colors in (range(12), [10 + i % 2 for i in range(12)]):
         layout = Layout("stack", order, EdgeColoring.from_colors(dict(zip(g.edges, colors))))
         text = layout_to_json(layout)
-        kind, _, classes = layouts._canonical_classes(g, text)
-        assert kind == "stack" and sorted(classes) == sorted(set(colors))
+        kind, _, _, classes = layouts._canonical_classes(g, text)
+        by_colour = [[e for e, c in zip(g.edges, colors) if c == k] for k in sorted(set(colors))]
+        assert kind == "stack" and sorted(classes) == sorted(by_colour)
         assert verify_layout_json(g, text) == verify_layout(g, layout)
     assert not verify_layout(g, layout).valid
 

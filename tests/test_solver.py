@@ -208,6 +208,15 @@ def test_budget_order_cap_returns_bounds():
     assert verify_layout(g, result.layout).valid
 
 
+def test_order_cap_is_exact_only_when_it_covers_every_order():
+    # K_{3,3} has 60 stack orders and never reaches its floor of 1: a cap
+    # of 60 still scans them all, and one of 59 leaves the last unseen
+    g = complete_bipartite(3, 3)
+    full, short = stack_number(g, max_orders=60), stack_number(g, max_orders=59)
+    assert (full.exact, full.orders_scanned, full.lower_bound) == (True, 60, 3)
+    assert (short.exact, short.orders_scanned, short.lower_bound) == (False, 59, 1)
+
+
 def test_long_path_stops_at_the_floor():
     # the identity order meets the floor, so a raised vertex budget still
     # ends after one order

@@ -1,5 +1,5 @@
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 from random import Random
 
 import pytest
@@ -7,7 +7,9 @@ import pytest
 import linlay.graphs
 import linlay.witness
 from linlay import (
+    GridCoord,
     InsufficientScale,
+    InternalInvariantError,
     InvalidParameterError,
     LinearOrder,
     PathFamily,
@@ -328,3 +330,41 @@ def test_pipeline_rejects_bad_arguments():
     for c, d in ((0, 1), (1, 0)):
         with pytest.raises(InvalidParameterError, match="c and d must be positive"):
             extract_crossing_witness(2, 2, identity_order(12), c, d)
+
+
+# ---------------------------------------------------------------------------
+# certificate checks, each made to fire by a faulty step before it
+
+def test_leaf_order_check_fires_on_a_path_through_both_directions(monkeypatch):
+    # S_3 x H_2: the hub, then the leaves ascending at cells 0, 2 and 3 and
+    # descending at cell 1
+    a, n = 3, 2
+    cells = [[u * n * n + y for u in range(1, a + 1)] for y in range(n * n)]
+    cells[1].reverse()
+    order = LinearOrder.from_sequence([*range(n * n), *chain.from_iterable(cells)])
+    assert isinstance(extract_crossing_witness(a, n, order, 2, 2), WitnessReport)
+    # a path that leaves the one-colour class: cell 0, then cell 1
+    monkeypatch.setattr(linlay.witness, "find_monochromatic_path",
+                        lambda coloring: [GridCoord(1, 1), GridCoord(2, 1)])
+    with pytest.raises(InternalInvariantError, match="grid path lost the monotone leaf ordering"):
+        extract_crossing_witness(a, n, order, 2, 2)
+
+
+def test_separated_case_check_fires_on_edges_that_do_not_cross(monkeypatch):
+    fam, hubs = synthetic_family(4, 4, lambda u, j: (u - 1) * 4 + j if u else 16 + j)
+    monkeypatch.setattr(linlay.witness, "is_pairwise_crossing", lambda order, edges: False)
+    with pytest.raises(InternalInvariantError, match="separated-case edges failed"):
+        case_separated(fam, (0, 1, 2, 3), hubs)
+
+
+def test_crossing_case_check_fires_on_edges_that_do_not_cross(monkeypatch):
+    fam, _ = synthetic_family(5, 2, lambda u, j: j * 6 + u)
+    monkeypatch.setattr(linlay.witness, "is_pairwise_crossing", lambda order, edges: False)
+    with pytest.raises(InternalInvariantError, match="crossing-case edges failed"):
+        case_crossing(fam, tuple(range(5)))
+
+
+def test_edge_membership_check_fires_on_an_edge_outside_the_product(monkeypatch):
+    monkeypatch.setattr(linlay.witness, "star_hex_product_has_edge", lambda a, n, u, v: False)
+    with pytest.raises(InternalInvariantError, match=r"witness edge \(0, 8\) missing"):
+        extract_crossing_witness(4, 2, identity_order(20), 2, 2)
