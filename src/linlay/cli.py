@@ -309,6 +309,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except ResourceLimitError as exc:
         return _budget_exceeded(exc.lower, exc.upper)
+    except MemoryError:
+        return _budget_exceeded(None, None)
     except OSError as exc:  # only stdout: file reads and --output writes wrap their own
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiets the exit flush
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)

@@ -43,8 +43,6 @@ def longest_monotone_subsequence(seq: Sequence) -> tuple[str, list[int]]:
     values = list(seq)
     if len(set(values)) != len(values):
         raise InvalidParameterError("sequence elements must be pairwise distinct")
-    if not values:
-        return INCREASING, []
     inc = _lis_indices(values)
     dec = _lis_indices([-x for x in values])
     direction, picked = (INCREASING, inc) if len(inc) >= len(dec) else (DECREASING, dec)

@@ -89,6 +89,11 @@ class InsufficientScale(NamedTuple):
     required_d: int
 
 
+def largest_group(groups: dict, rank) -> object:
+    """The key of the largest group, ties to the smallest ``rank(key)``."""
+    return min(groups, key=lambda k: (-len(groups[k]), rank(k)))
+
+
 def chain_or_antichain(fam: PathFamily, c: int, d: int) -> Selection | InsufficientScale:
     """A chain of >= c pairwise separated paths, else an antichain of >= d
     pairwise crossing ones from longest-chain layering, else the sizes
@@ -136,8 +141,7 @@ def chain_or_antichain(fam: PathFamily, c: int, d: int) -> Selection | Insuffici
             chain.append(min((j for j in layers[level] if end < extents[j][0]), key=by_leaf))
         return Selection("separated", tuple(chain))
 
-    best_depth = max(layers, key=lambda dep: (len(layers[dep]), -dep))
-    antichain = layers[best_depth]
+    antichain = layers[largest_group(layers, rank=int)]
     if len(antichain) < d:
         return InsufficientScale(b, longest, len(antichain), c, d)
     for i, j in combinations(sorted(antichain, key=by_leaf)[:d], 2):

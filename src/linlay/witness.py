@@ -29,6 +29,7 @@ from .poset import (
     PathFamily,
     chain_or_antichain,
     classify_pair,
+    largest_group,
     ramsey_upper_bound,
 )
 
@@ -100,10 +101,9 @@ def case_separated(
     """
     order = fam.order
     pos = order.position
-    chain = list(chain_indices)
+    chain = sorted(chain_indices, key=lambda i: fam.extents[i][0])
     c = len(chain)
     n = len(hub_vertices)
-    chain.sort(key=lambda i: fam.extents[i][0])
     hubs = sorted(range(n), key=lambda j: pos[hub_vertices[j]])  # grid slot by rank
     half = c // 2
     mid_hub = hubs[(n + 1) // 2 - 1]
@@ -144,45 +144,33 @@ def case_crossing(fam: PathFamily, crossing_indices: Sequence[int]) -> tuple[str
     members = sorted(crossing_indices, key=lambda i: (fam.leaves[i], i))
     if len(members) < 2:
         raise InvalidParameterError("need at least two crossing paths")
-    base_spans = fam.edge_spans[members[0]]
 
-    # one entry per (crossed base edge) -> edges of other paths crossing it,
-    # tagged with the grid slot of each endpoint
-    groups: dict[int, list] = {idx: [] for idx in range(len(base_spans))}
+    # edges of the other paths, as (grid slot of the first end, ends), by the
+    # span of the base-path edge they cross
+    crossing: dict[tuple[int, int], list] = {}
     for i in members[1:]:
         path = fam.paths[i]
         for slot, t in enumerate(fam.edge_spans[i]):
-            for idx, s in enumerate(base_spans):
+            for s in fam.edge_spans[members[0]]:
                 if spans_cross(s, t):
-                    groups[idx].append((i, slot, path[slot], path[slot + 1]))
-    best_idx = max(
-        range(len(base_spans)), key=lambda idx: (len(groups[idx]), [-x for x in base_spans[idx]])
-    )
-    chosen = groups[best_idx]
-    lo, hi = base_spans[best_idx]
-    if not chosen:
+                    crossing.setdefault(s, []).append((slot, path[slot], path[slot + 1]))
+    if not crossing:
         raise InternalInvariantError("no edge of the other paths crosses the base path")
+    lo, hi = largest_group(crossing, rank=tuple)  # ties to the smallest span
 
     # pigeonhole 1: inside endpoints in one grid slot
     by_inside: dict[int, list] = {}
-    for item in chosen:
-        i, slot, u, v = item
-        inside_slot = slot if lo < pos[u] < hi else slot + 1
-        by_inside.setdefault(inside_slot, []).append(item)
-    inside_slot = max(by_inside, key=lambda k: (len(by_inside[k]), -k))
-    narrowed = by_inside[inside_slot]
+    for slot, u, v in crossing[lo, hi]:
+        by_inside.setdefault(slot if lo < pos[u] < hi else slot + 1, []).append((slot, u, v))
+    inside = largest_group(by_inside, rank=int)
 
-    # pigeonhole 2: outside endpoints in one grid slot, on one side of e
-    by_outside: dict[tuple[int, int], list] = {}
-    for item in narrowed:
-        i, slot, u, v = item
-        outside, outside_slot = (v, slot + 1) if slot == inside_slot else (u, slot)
-        side = 0 if pos[outside] > hi else 1  # after e preferred
-        by_outside.setdefault((outside_slot, side), []).append(item)
-    key = max(by_outside, key=lambda k: (len(by_outside[k]), -k[1], -k[0]))
-    survivors = by_outside[key]
+    # pigeonhole 2: outside endpoints on one side of e, after it first, in one grid slot
+    by_outside: dict[tuple[bool, int], list] = {}
+    for slot, u, v in by_inside[inside]:
+        outside, outside_slot = (v, slot + 1) if slot == inside else (u, slot)
+        by_outside.setdefault((pos[outside] < lo, outside_slot), []).append(normalize_edge(u, v))
 
-    edges = tuple(sorted({normalize_edge(u, v) for _, _, u, v in survivors}))
+    edges = tuple(sorted(set(by_outside[largest_group(by_outside, rank=tuple)])))
     if not is_pairwise_crossing(order, edges):
         raise InternalInvariantError("crossing-case edges failed to pairwise cross")
     return CASE_CROSSING, edges
@@ -202,8 +190,6 @@ def extract_crossing_witness(
     an InsufficientScale outcome when the surviving family is too small
     for the requested chain/antichain targets.
     """
-    if c < 1 or d < 1:
-        raise InvalidParameterError("c and d must be positive")
     family = consistent_leaf_family(order, a, n)
     cells = n * n
     coloring = GridColoring.from_function(

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +156,22 @@ def test_verify_reinterpreted_as_stack_fails(product_files, tmp_path):
     report = json.loads(proc.stdout)
     assert not report["valid"]
     assert report["violations"]
+
+
+def test_verify_out_of_memory_exits_3_with_the_budget_line(tmp_path):
+    # S_30 x H_12's 4-queue layout re-read as stacks has 2,884,736 violating
+    # pairs, whose listing needs about 350 MB on top of the interpreter
+    graph_path, layout_path = tmp_path / "g.json", tmp_path / "l.json"
+    graph_path.write_text(graph_to_json(make_star_hex_product(30, 12)))
+    doc = json.loads(layout_to_json(product_queue_layout(30, 12)))
+    doc["kind"] = "stack"
+    layout_path.write_text(json.dumps(doc))
+    cap = 200 << 20  # address space of the child alone
+    proc = run_cli("verify", str(graph_path), str(layout_path), timeout=120,
+                   preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == '{"error":"budget-exceeded","lower":null,"upper":null}\n'
 
 
 def test_verify_truncated_json(product_files, tmp_path):

@@ -151,6 +151,28 @@ def test_case_crossing_needs_two_paths():
         case_crossing(fam, (0,))
 
 
+@pytest.mark.parametrize("b, seq, edge", [
+    # only the base edge (3, 4) is crossed, by (6, 7) with its inside end in
+    # slot 1 and by (10, 11) with its inside end in slot 2
+    (3, [4, 0, 1, 5, 7, 8, 11, 3, 6, 9, 2, 10], (6, 7)),
+    # (6, 7) alone crosses the base edge at span (1, 3), and (7, 8) alone the
+    # one at span (1, 5)
+    (2, [8, 4, 6, 5, 7, 3, 0, 1, 2], (6, 7)),
+    # both edges cross the base edge (4, 5) with their inside ends in slot 1;
+    # their outside ends lie before it, in slots 0 and 2
+    (2, [6, 8, 4, 3, 7, 5, 0, 1, 2], (6, 7)),
+], ids=["inside-slot", "base-edge-right-end", "outside-slot"])
+def test_case_crossing_tie_goes_to_the_smaller_rank(b, seq, edge):
+    fam, _ = synthetic_family(b, 3, lambda u, j: seq.index(u * 3 + j))
+    assert case_crossing(fam, tuple(range(b))) == ("crossing_II", (edge,))
+
+
+def test_case_crossing_edgeless_paths_raise_the_invariant_error():
+    fam, _ = synthetic_family(2, 1, lambda u, j: u)
+    with pytest.raises(InternalInvariantError, match="no edge of the other paths crosses"):
+        case_crossing(fam, (0, 1))
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 
