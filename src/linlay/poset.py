@@ -89,9 +89,9 @@ class InsufficientScale(NamedTuple):
     required_d: int
 
 
-def largest_group(groups: dict, rank) -> object:
-    """The key of the largest group, ties to the smallest ``rank(key)``."""
-    return min(groups, key=lambda k: (-len(groups[k]), rank(k)))
+def largest_group(groups: dict) -> object:
+    """The key of the largest group, ties to the smallest key."""
+    return min(groups, key=lambda k: (-len(groups[k]), k))
 
 
 def chain_or_antichain(fam: PathFamily, c: int, d: int) -> Selection | InsufficientScale:
@@ -141,7 +141,7 @@ def chain_or_antichain(fam: PathFamily, c: int, d: int) -> Selection | Insuffici
             chain.append(min((j for j in layers[level] if end < extents[j][0]), key=by_leaf))
         return Selection("separated", tuple(chain))
 
-    antichain = layers[largest_group(layers, rank=int)]
+    antichain = layers[largest_group(layers)]
     if len(antichain) < d:
         return InsufficientScale(b, longest, len(antichain), c, d)
     for i, j in combinations(sorted(antichain, key=by_leaf)[:d], 2):

@@ -156,13 +156,13 @@ def case_crossing(fam: PathFamily, crossing_indices: Sequence[int]) -> tuple[str
                     crossing.setdefault(s, []).append((slot, path[slot], path[slot + 1]))
     if not crossing:
         raise InternalInvariantError("no edge of the other paths crosses the base path")
-    lo, hi = largest_group(crossing, rank=tuple)  # ties to the smallest span
+    lo, hi = largest_group(crossing)  # ties to the smallest span
 
     # pigeonhole 1: inside endpoints in one grid slot
     by_inside: dict[int, list] = {}
     for slot, u, v in crossing[lo, hi]:
         by_inside.setdefault(slot if lo < pos[u] < hi else slot + 1, []).append((slot, u, v))
-    inside = largest_group(by_inside, rank=int)
+    inside = largest_group(by_inside)
 
     # pigeonhole 2: outside endpoints on one side of e, after it first, in one grid slot
     by_outside: dict[tuple[bool, int], list] = {}
@@ -170,7 +170,7 @@ def case_crossing(fam: PathFamily, crossing_indices: Sequence[int]) -> tuple[str
         outside, outside_slot = (v, slot + 1) if slot == inside else (u, slot)
         by_outside.setdefault((pos[outside] < lo, outside_slot), []).append(normalize_edge(u, v))
 
-    edges = tuple(sorted(set(by_outside[largest_group(by_outside, rank=tuple)])))
+    edges = tuple(sorted(set(by_outside[largest_group(by_outside)])))
     if not is_pairwise_crossing(order, edges):
         raise InternalInvariantError("crossing-case edges failed to pairwise cross")
     return CASE_CROSSING, edges

@@ -173,43 +173,43 @@ MUTANTS = [
      "gen hex and gen star lack the size their kind does not take",
      "tests/test_cli.py::test_gen_hex"),
     ("largest-group-ties-to-largest", "src/linlay/poset.py",
-     "return min(groups, key=lambda k: (-len(groups[k]), rank(k)))",
-     "return max(groups, key=lambda k: (len(groups[k]), rank(k)))",
-     "every largest-group tie goes to the largest rank",
-     "tests/test_witness.py::test_case_crossing_tie_goes_to_the_smaller_rank[inside-slot]"),
-    ("base-edge-rank-reversed", "src/linlay/witness.py",
-     "lo, hi = largest_group(crossing, rank=tuple)",
-     "lo, hi = largest_group(crossing, rank=lambda span: tuple(-x for x in span))",
+     "return min(groups, key=lambda k: (-len(groups[k]), k))",
+     "return max(groups, key=lambda k: (len(groups[k]), k))",
+     "every largest-group tie goes to the largest key",
+     "tests/test_witness.py::test_case_crossing_tie_goes_to_the_smaller_key[inside-slot]"),
+    ("base-edge-tie-to-largest", "src/linlay/witness.py",
+     "lo, hi = largest_group(crossing)",
+     "lo, hi = max(crossing, key=lambda s: (len(crossing[s]), s))",
      "Case II's base edge tie goes to the largest span",
-     "tests/test_witness.py::test_case_crossing_tie_goes_to_the_smaller_rank[base-edge-right-end]"),
+     "tests/test_witness.py::test_case_crossing_tie_goes_to_the_smaller_key[base-edge-right-end]"),
     ("base-edge-right-end-reversed", "src/linlay/witness.py",
-     "lo, hi = largest_group(crossing, rank=tuple)",
-     "lo, hi = largest_group(crossing, rank=lambda span: (span[0], -span[1]))",
+     "lo, hi = largest_group(crossing)",
+     "lo, hi = min(crossing, key=lambda s: (-len(crossing[s]), s[0], -s[1]))",
      "Case II's base edge tie between one left end goes to the larger right end",
-     "tests/test_witness.py::test_case_crossing_tie_goes_to_the_smaller_rank[base-edge-right-end]"),
-    ("inside-slot-rank-reversed", "src/linlay/witness.py",
-     "inside = largest_group(by_inside, rank=int)",
-     "inside = largest_group(by_inside, rank=lambda k: -k)",
+     "tests/test_witness.py::test_case_crossing_tie_goes_to_the_smaller_key[base-edge-right-end]"),
+    ("inside-slot-tie-to-largest", "src/linlay/witness.py",
+     "inside = largest_group(by_inside)",
+     "inside = max(by_inside, key=lambda k: (len(by_inside[k]), k))",
      "Case II's inside-slot tie goes to the largest slot",
-     "tests/test_witness.py::test_case_crossing_tie_goes_to_the_smaller_rank[inside-slot]"),
-    ("outside-rank-reversed", "src/linlay/witness.py",
-     "largest_group(by_outside, rank=tuple)",
-     "largest_group(by_outside, rank=lambda k: tuple(-x for x in k))",
+     "tests/test_witness.py::test_case_crossing_tie_goes_to_the_smaller_key[inside-slot]"),
+    ("outside-tie-to-largest", "src/linlay/witness.py",
+     "by_outside[largest_group(by_outside)]",
+     "by_outside[max(by_outside, key=lambda k: (len(by_outside[k]), k))]",
      "Case II's outside tie goes to the side before the edge and the largest slot",
-     "tests/test_witness.py::test_case_crossing_tie_goes_to_the_smaller_rank[outside-slot]"),
+     "tests/test_witness.py::test_case_crossing_tie_goes_to_the_smaller_key[outside-slot]"),
     ("outside-side-reversed", "src/linlay/witness.py",
-     "largest_group(by_outside, rank=tuple)",
-     "largest_group(by_outside, rank=lambda k: (not k[0], k[1]))",
+     "pos[outside] < lo",
+     "pos[outside] > hi",
      "Case II's outside tie goes to the side before the edge",
      "tests/test_cli.py::test_grid_witness_jobs_match_the_benchmark_digests"),
     ("outside-slot-reversed", "src/linlay/witness.py",
-     "largest_group(by_outside, rank=tuple)",
-     "largest_group(by_outside, rank=lambda k: (k[0], -k[1]))",
+     "lo, outside_slot)",
+     "lo, -outside_slot)",
      "Case II's outside tie on one side goes to the largest slot",
-     "tests/test_witness.py::test_case_crossing_tie_goes_to_the_smaller_rank[outside-slot]"),
-    ("antichain-rank-reversed", "src/linlay/poset.py",
-     "layers[largest_group(layers, rank=int)]",
-     "layers[largest_group(layers, rank=lambda k: -k)]",
+     "tests/test_witness.py::test_case_crossing_tie_goes_to_the_smaller_key[outside-slot]"),
+    ("antichain-tie-to-deepest", "src/linlay/poset.py",
+     "layers[largest_group(layers)]",
+     "layers[max(layers, key=lambda k: (len(layers[k]), k))]",
      "the antichain tie goes to the deepest layer",
      "tests/test_poset.py::test_matches_all_pairs_dichotomy_on_random_families"),
 ]

@@ -162,7 +162,7 @@ def test_case_crossing_needs_two_paths():
     # their outside ends lie before it, in slots 0 and 2
     (2, [6, 8, 4, 3, 7, 5, 0, 1, 2], (6, 7)),
 ], ids=["inside-slot", "base-edge-right-end", "outside-slot"])
-def test_case_crossing_tie_goes_to_the_smaller_rank(b, seq, edge):
+def test_case_crossing_tie_goes_to_the_smaller_key(b, seq, edge):
     fam, _ = synthetic_family(b, 3, lambda u, j: seq.index(u * 3 + j))
     assert case_crossing(fam, tuple(range(b))) == ("crossing_II", (edge,))
 
